@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <tuple>
 #include <utility>
 
 #include "src/core/contracts.h"
@@ -10,6 +11,31 @@
 #include "src/subset/boosted.h"
 
 namespace skyline {
+
+namespace {
+
+/// Runs `engine` over rows `ids` of `data` projected onto `v` (engine row
+/// i is point ids[i]) and maps its answer back to point ids. Adds the
+/// dominance tests spent to `*tests`.
+std::vector<PointId> SkylineOfRows(const SkylineAlgorithm& engine,
+                                   const Dataset& data, Subspace v,
+                                   std::span<const PointId> ids,
+                                   std::uint64_t* tests) {
+  std::vector<Value> values;
+  values.reserve(ids.size() * v.size());
+  for (PointId id : ids) {
+    const Value* row = data.row(id);
+    v.ForEachDim([&](Dim i) { values.push_back(row[i]); });
+  }
+  SkylineStats stats;
+  std::vector<PointId> local =
+      engine.Compute(Dataset(v.size(), std::move(values)), &stats);
+  if (tests != nullptr) *tests += stats.dominance_tests;
+  for (PointId& id : local) id = ids[id];
+  return local;
+}
+
+}  // namespace
 
 void QueryService::Entry::Publish(std::vector<PointId> new_ids) {
   {
@@ -73,29 +99,35 @@ std::vector<PointId> QueryService::AwaitAndCopy(const EntryPtr& entry) {
 }
 
 QueryService::EntryPtr QueryService::FindBestAncestor(
-    Subspace v, Subspace* ancestor_subspace) const {
-  // epoch-ok: only entries stamped with the current epoch are eligible —
-  // a stale cached answer is not a sound seed (points inserted since it
-  // was computed would be missing from the candidate set).
+    Subspace v, bool allow_stale, Subspace* ancestor_subspace,
+    std::uint64_t* epoch_delta) const {
+  // epoch-ok: stale entries are eligible only with allow_stale — a stale
+  // cached answer is not a sound seed (points inserted since it was
+  // computed would be missing from the candidate set) — and the ranking
+  // puts the freshest first. Subspace bits end every tie, so the pick
+  // never depends on the map's iteration order.
   const std::uint64_t current = version_->epoch;
+  using Rank = std::tuple<std::uint64_t, bool, std::size_t, Dim, std::uint64_t>;
   EntryPtr best;
-  Subspace best_subspace;
+  Rank best_rank;
   for (const auto& [bits, entry] : cache_) {
     const Subspace u(bits);
     if (!v.IsSubsetOf(u)) continue;
     if (!entry->ready.load(std::memory_order_acquire)) continue;
-    if (entry->epoch != current) continue;
-    const std::size_t num_ids = entry->published_ids().size();
-    if (best == nullptr || num_ids < best->published_ids().size() ||
-        (num_ids == best->published_ids().size() &&
-         u.size() < best_subspace.size())) {
+    const std::uint64_t delta = current - entry->epoch;
+    if (delta != 0 && !allow_stale) continue;
+    const Rank rank{delta, u != v, entry->published_ids().size(), u.size(),
+                    bits};
+    if (best == nullptr || rank < best_rank) {
       best = entry;
-      best_subspace = u;
+      best_rank = rank;
     }
   }
-  if (best != nullptr && ancestor_subspace != nullptr) {
-    *ancestor_subspace = best_subspace;
+  if (best == nullptr) return nullptr;
+  if (ancestor_subspace != nullptr) {
+    *ancestor_subspace = Subspace(std::get<4>(best_rank));
   }
+  if (epoch_delta != nullptr) *epoch_delta = std::get<0>(best_rank);
   return best;
 }
 
@@ -103,47 +135,18 @@ std::vector<PointId> QueryService::ComputeCold(const DatasetVersion& version,
                                                Subspace v,
                                                std::uint64_t* tests) const {
   if (version.num_live == 0) return {};
-  SkylineStats stats;
-  std::vector<PointId> ids;
-  if (!version.has_removed) {
-    const Dataset projected = ProjectDataset(version.data, v);
-    if (projected.num_points() >= options_.parallel_cold_threshold) {
-      ParallelSubsetSfs engine(options_.threads, options_.algorithm);
-      ids = engine.Compute(projected, &stats);
-    } else {
-      SfsSubset engine(options_.algorithm);
-      ids = engine.Compute(projected, &stats);
-    }
-    if (tests != nullptr) *tests += stats.dominance_tests;
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  }
-  // Tombstoned version: project only the live rows into a dense dataset
-  // (engine row ids index `live_ids`) and map back.
   std::vector<PointId> live_ids;
   live_ids.reserve(version.num_live);
   for (PointId p = 0; p < version.data.num_points(); ++p) {
     if (version.IsLive(p)) live_ids.push_back(p);
   }
-  const Dim pd = v.size();
-  std::vector<Value> values;
-  values.reserve(live_ids.size() * pd);
-  for (PointId id : live_ids) {
-    const Value* row = version.data.row(id);
-    v.ForEachDim([&](Dim i) { values.push_back(row[i]); });
-  }
-  const Dataset projected(pd, std::move(values));
-  std::vector<PointId> local;
-  if (projected.num_points() >= options_.parallel_cold_threshold) {
-    ParallelSubsetSfs engine(options_.threads, options_.algorithm);
-    local = engine.Compute(projected, &stats);
-  } else {
-    SfsSubset engine(options_.algorithm);
-    local = engine.Compute(projected, &stats);
-  }
-  if (tests != nullptr) *tests += stats.dominance_tests;
-  ids.reserve(local.size());
-  for (PointId id : local) ids.push_back(live_ids[id]);
+  std::vector<PointId> ids =
+      live_ids.size() >= options_.parallel_cold_threshold
+          ? SkylineOfRows(
+                ParallelSubsetSfs(options_.threads, options_.algorithm),
+                version.data, v, live_ids, tests)
+          : SkylineOfRows(SfsSubset(options_.algorithm), version.data, v,
+                          live_ids, tests);
   std::sort(ids.begin(), ids.end());
   return ids;
 }
@@ -162,23 +165,9 @@ std::vector<PointId> QueryService::ComputeSeededCore(
   }
   // Large seed (e.g. a near-total anti-correlated full-space skyline):
   // the O(|seed|^2) BNL loses to the subset-boosted engine on the
-  // projected candidate rows. Engine row ids index `candidates`.
-  const Dim pd = v.size();
-  std::vector<Value> values;
-  values.reserve(candidates.size() * pd);
-  for (PointId id : candidates) {
-    const Value* row = version.data.row(id);
-    v.ForEachDim([&](Dim i) { values.push_back(row[i]); });
-  }
-  const Dataset projected(pd, std::move(values));
-  SkylineStats stats;
-  SfsSubset engine(options_.algorithm);
-  std::vector<PointId> local = engine.Compute(projected, &stats);
-  if (tests != nullptr) *tests += stats.dominance_tests;
-  std::vector<PointId> core;
-  core.reserve(local.size());
-  for (PointId id : local) core.push_back(candidates[id]);
-  return core;
+  // projected candidate rows.
+  return SkylineOfRows(SfsSubset(options_.algorithm), version.data, v,
+                       candidates, tests);
 }
 
 bool QueryService::TryRepair(const DatasetVersion& next, Subspace v,
@@ -254,15 +243,20 @@ std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
     WriterLock lock(cache_mu_);
     const DatasetVersionPtr old = version_;
     auto next = std::make_shared<DatasetVersion>();
-    next->data = old->data;
-    next->live = old->live;
+    // Rows and live flags are each copied once, into buffers sized for
+    // the inserted rows up front.
+    const std::vector<Value>& old_values = old->data.values();
+    std::vector<Value> values;
+    values.reserve(old_values.size() + inserts.size());
+    values.insert(values.end(), old_values.begin(), old_values.end());
+    values.insert(values.end(), inserts.begin(), inserts.end());
+    next->data = Dataset(d, std::move(values));
+    next->live.reserve(old->live.size() + num_inserts);
+    next->live.assign(old->live.begin(), old->live.end());
+    next->live.resize(old->live.size() + num_inserts, 1);
     next->epoch = old->epoch + 1;
     const PointId first_inserted =
-        static_cast<PointId>(next->data.num_points());
-    for (std::size_t i = 0; i < num_inserts; ++i) {
-      next->data.Append(inserts.subspan(i * d, d));
-    }
-    next->live.resize(next->data.num_points(), 1);
+        static_cast<PointId>(old->data.num_points());
     for (PointId r : removes) {
       SKYLINE_ASSERT(r < first_inserted,
                      "ApplyUpdate: remove id out of range or from this batch");
@@ -472,7 +466,8 @@ std::vector<PointId> QueryService::Query(Subspace v,
       entry = std::make_shared<Entry>(/*pinned_entry=*/false, snap->epoch);
       cache_.emplace(v.bits(), entry);
     }
-    ancestor = FindBestAncestor(v, &ancestor_subspace);
+    ancestor = FindBestAncestor(v, /*allow_stale=*/false, &ancestor_subspace,
+                                /*epoch_delta=*/nullptr);
   }
 
   std::vector<PointId> ids;
@@ -528,46 +523,15 @@ bool QueryService::PeekNearestAncestor(Subspace v, Subspace* ancestor,
                                        std::uint64_t* epoch_delta) {
   SKYLINE_ASSERT(!v.empty(), "PeekNearestAncestor: empty subspace");
   ReaderLock lock(cache_mu_);
-  // epoch-ok: candidates are ranked freshest epoch first and stale ones
-  // are eligible only with the caller's epoch_delta opt-in.
-  const std::uint64_t current = version_->epoch;
-  const bool allow_stale = epoch_delta != nullptr;
-  EntryPtr best;
-  Subspace best_subspace;
-  std::uint64_t best_delta = 0;
-  bool best_exact = false;
-  std::size_t best_num_ids = 0;
-  for (const auto& [bits, entry] : cache_) {
-    const Subspace u(bits);
-    if (!v.IsSubsetOf(u)) continue;
-    if (!entry->ready.load(std::memory_order_acquire)) continue;
-    const std::uint64_t delta = current - entry->epoch;
-    if (delta != 0 && !allow_stale) continue;
-    const bool exact = u == v;
-    const std::size_t num_ids = entry->published_ids().size();
-    const bool better = [&] {
-      if (best == nullptr) return true;
-      if (delta != best_delta) return delta < best_delta;
-      if (exact != best_exact) return exact;
-      if (num_ids != best_num_ids) return num_ids < best_num_ids;
-      return u.size() < best_subspace.size();
-    }();
-    if (better) {
-      best = entry;
-      best_subspace = u;
-      best_delta = delta;
-      best_exact = exact;
-      best_num_ids = num_ids;
-    }
-  }
+  const EntryPtr best = FindBestAncestor(
+      v, /*allow_stale=*/epoch_delta != nullptr, ancestor, epoch_delta);
   if (best == nullptr) return false;
   best->last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
                         std::memory_order_relaxed);
-  if (ancestor != nullptr) *ancestor = best_subspace;
-  // epoch-ok: best->epoch and its delta are forwarded right below.
+  // epoch-ok: best->epoch is forwarded right below, its delta was
+  // written by FindBestAncestor.
   if (ids != nullptr) *ids = best->published_ids();
   if (epoch_out != nullptr) *epoch_out = best->epoch;
-  if (epoch_delta != nullptr) *epoch_delta = best_delta;
   return true;
 }
 

@@ -8,7 +8,8 @@
 //     id list is returned under a shared lock, with a single atomic LRU
 //     touch.
 //   * Seeded miss: the nearest cached ancestor cuboid U ⊇ V (fewest
-//     skyline ids) seeds the computation via the skycube top-down
+//     skyline ids, then fewest dimensions, then lowest subspace bits)
+//     seeds the computation via the skycube top-down
 //     sharing scheme — sky_V over sky(U) followed by the
 //     duplicate-projection tie repair of src/skycube. Sound for ANY
 //     ancestor, not just a parent: a U-dominator chain from any point
@@ -229,10 +230,13 @@ class QueryService {
 
   /// Non-blocking nearest-ancestor lookup: if any ready cached cuboid
   /// U ⊇ `v` exists (freshest epoch first, then the exact cuboid, then
-  /// the one with the fewest ids), copies its subspace/ids into the
-  /// non-null out-params, touches the LRU stamp, and returns true.
-  /// Never computes and never waits. Same epoch contract as PeekExact:
-  /// stale entries are only eligible when `epoch_delta` is non-null.
+  /// the fewest ids, the fewest dimensions and the lowest subspace
+  /// bits), copies its subspace/ids into the non-null out-params,
+  /// touches the LRU stamp, and returns true. Without stale entries
+  /// this is the ancestor a Query miss of `v` would seed from, with the
+  /// same cache contents. Never computes and never waits. Same epoch
+  /// contract as PeekExact: stale entries are only eligible when
+  /// `epoch_delta` is non-null.
   bool PeekNearestAncestor(Subspace v, Subspace* ancestor,
                            std::vector<PointId>* ids,
                            std::uint64_t* epoch_out = nullptr,
@@ -289,10 +293,15 @@ class QueryService {
   /// Waits until `entry` is published and returns a copy of its ids.
   std::vector<PointId> AwaitAndCopy(const EntryPtr& entry);
 
-  /// Smallest ready cached cuboid whose subspace is a superset of `v`
-  /// (by id count, then by dimension count), restricted to the current
-  /// epoch — a stale answer is never a sound seed.
-  EntryPtr FindBestAncestor(Subspace v, Subspace* ancestor_subspace) const
+  /// The best ready cached cuboid U ⊇ `v`, or nullptr. Candidates are
+  /// ranked by (epoch delta, U ≠ v, id count, dimension count, subspace
+  /// bits), so the pick is a function of the cache contents alone. Stale
+  /// entries are eligible only with `allow_stale`. Writes U and its
+  /// epoch delta to the non-null out-params. The one ranking behind both
+  /// Query's seed and PeekNearestAncestor.
+  EntryPtr FindBestAncestor(Subspace v, bool allow_stale,
+                            Subspace* ancestor_subspace,
+                            std::uint64_t* epoch_delta) const
       SKYLINE_REQUIRES_SHARED(cache_mu_);
 
   /// Computes sky(v) over the live rows of `version` from scratch with

@@ -208,7 +208,13 @@ ResponseHandle SkylineServer::Submit(Subspace v,
         }
       } else {
         admitted_.fetch_add(1, std::memory_order_relaxed);
-        queue_.push_back(Pending{v, deadline, now, std::move(token), state});
+        Pending p;
+        p.v = v;
+        p.deadline = deadline;
+        p.enqueued_at = now;
+        p.token = std::move(token);
+        p.state = state;
+        queue_.push_back(std::move(p));
         queue_cv_.NotifyOne();
       }
     }

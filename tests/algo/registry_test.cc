@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace skyline {
 namespace {
 
@@ -19,8 +22,15 @@ TEST(RegistryTest, UnknownNameReturnsNull) {
   EXPECT_EQ(MakeAlgorithm("SFS"), nullptr) << "names are case-sensitive";
 }
 
+// The exact list in presentation order, not just a count: a renamed or
+// reordered entry changes every registry-parameterised test name.
 TEST(RegistryTest, FifteenAlgorithms) {
-  EXPECT_EQ(AlgorithmNames().size(), 15u);
+  const std::vector<std::string> expected = {
+      "bnl",        "sfs",          "less",         "salsa",
+      "sdi",        "index",        "dnc",          "bbs",
+      "bskytree-s", "bskytree-p",   "sfs-subset",   "salsa-subset",
+      "sdi-subset", "parallel-sfs", "parallel-subset-sfs"};
+  EXPECT_EQ(AlgorithmNames(), expected);
 }
 
 TEST(RegistryTest, BoostedPairsReferToRegisteredNames) {

@@ -283,11 +283,10 @@ TEST(KernelDifferentialTest, SingleDimensionAndMaxDimensionEdges) {
   }
   {
     const Dim d = 64;
-    std::vector<Value> better(d, 0.0);
-    std::vector<Value> worse(d, 1.0);
-    Dataset data(d);
-    data.Append(better);
-    data.Append(worse);
+    // Row 0 is all zeros (better), row 1 all ones (worse).
+    std::vector<Value> values(2 * d, 0.0);
+    std::fill(values.begin() + d, values.end(), 1.0);
+    const Dataset data(d, std::move(values));
     const AlignedDataset aligned(data);
     EXPECT_TRUE(kernels::Dominates(aligned.row(0), aligned.row(1), d));
     EXPECT_EQ(kernels::DominatingSubspace(aligned.row(0), aligned.row(1), d),

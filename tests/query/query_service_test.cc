@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "src/core/verify.h"
@@ -79,6 +80,46 @@ TEST(QueryServiceTest, UnpinnedFirstQueryIsCold) {
   stats = service.Stats();
   EXPECT_EQ(stats.cold, 1u);
   EXPECT_EQ(stats.seeded, 1u);
+}
+
+TEST(QueryServiceTest, AncestorTiesGoToTheLowerSubspaceBits) {
+  // {0,1} (bits 3) and {0,2} (bits 5) both have a 4-id skyline: p0-p3
+  // and p4-p7. Seeding {0} from them costs different dominance tests
+  // (their dim-0 values run 1,1,2,2 and 2,2,1,1 in id order), so the
+  // seeded charge shows which ancestor a Query miss used.
+  const Dataset data = Dataset::FromRows({{1, 1, 9}, {1, 1, 9}, {2, 0, 9},
+                                          {2, 0, 9}, {2, 5, 0}, {2, 5, 0},
+                                          {1, 5, 1}, {1, 5, 1}});
+  const Subspace low{0, 1};
+  const Subspace high{0, 2};
+  const Subspace v{0};
+  const auto seed_tests = [&](Subspace u) {
+    std::uint64_t tests = 0;
+    SubspaceSkylineOverCandidates(data, v, SubspaceSkyline(data, u), &tests);
+    return tests;
+  };
+  ASSERT_EQ(SubspaceSkyline(data, low).size(),
+            SubspaceSkyline(data, high).size());
+  ASSERT_NE(seed_tests(low), seed_tests(high));
+
+  QueryServiceOptions options;
+  options.pin_full_space = false;
+  for (const auto& order : {std::pair{low, high}, std::pair{high, low}}) {
+    QueryService service(data, options);
+    service.Query(order.first);
+    service.Query(order.second);
+    Subspace ancestor;
+    std::vector<PointId> ids;
+    ASSERT_TRUE(service.PeekNearestAncestor(v, &ancestor, &ids));
+    EXPECT_EQ(ancestor, low) << "cached " << order.first.ToString()
+                             << " first";
+    const QueryStatsSnapshot before = service.Stats();
+    EXPECT_EQ(service.Query(v), SubspaceSkyline(data, v));
+    const QueryStatsSnapshot after = service.Stats();
+    EXPECT_EQ(after.seeded, before.seeded + 1);
+    EXPECT_EQ(after.seeded_tests - before.seeded_tests, seed_tests(low))
+        << "cached " << order.first.ToString() << " first";
+  }
 }
 
 TEST(QueryServiceTest, SeededAnswersAgreeWithColdOnDuplicateHeavyData) {

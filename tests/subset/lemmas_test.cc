@@ -3,6 +3,8 @@
 // the index-based candidate filtering would be unsound.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "src/core/dominance.h"
@@ -17,6 +19,14 @@ struct LemmaCase {
   DataType type;
   std::uint64_t seed;
 };
+
+// The case's name, e.g. "AC_seed1". It also replaces gtest's default
+// printout, which dumps the struct's bytes, padding included, into the
+// test names that ctest registers.
+std::string CaseName(const LemmaCase& c) {
+  return std::string(ShortName(c.type)) + "_seed" + std::to_string(c.seed);
+}
+void PrintTo(const LemmaCase& c, std::ostream* os) { *os << CaseName(c); }
 
 class LemmaTest : public ::testing::TestWithParam<LemmaCase> {
  protected:
@@ -145,7 +155,10 @@ INSTANTIATE_TEST_SUITE_P(
                       LemmaCase{DataType::kCorrelated, 1},
                       LemmaCase{DataType::kUniformIndependent, 1},
                       LemmaCase{DataType::kUniformIndependent, 2},
-                      LemmaCase{DataType::kUniformIndependent, 3}));
+                      LemmaCase{DataType::kUniformIndependent, 3}),
+    [](const ::testing::TestParamInfo<LemmaCase>& info) {
+      return CaseName(info.param);
+    });
 
 }  // namespace
 }  // namespace skyline
