@@ -300,12 +300,22 @@ ServerResponse SkylineServer::Query(Subspace v,
 
 void SkylineServer::WorkerLoop() {
   for (;;) {
-    std::vector<CuboidGroup> groups;
+    std::shared_ptr<OpenCycle> cycle;  // set when a group was claimed
+    CuboidGroup group;
+    std::vector<CuboidGroup> gathered;
     Pending update;
     bool have_update = false;
     {
       MutexLock lock(mu_);
       for (;;) {
+        if (!open_cycles_.empty()) {
+          // Finish what is dispatched before gathering more: claim the
+          // next group, superset-first, of the oldest open cycle.
+          cycle = open_cycles_.front();
+          group = std::move(cycle->groups[cycle->next++]);
+          if (cycle->next == cycle->groups.size()) open_cycles_.pop_front();
+          break;
+        }
         if (queue_.empty()) {
           if (stopping_) return;
           queue_cv_.Wait(lock);
@@ -330,12 +340,25 @@ void SkylineServer::WorkerLoop() {
           update_active_ = true;
           break;
         }
-        groups = GatherBatch();
+        gathered = GatherBatch();
         ++inflight_batches_;
         break;
       }
     }
-    if (have_update) {
+    if (cycle != nullptr) {
+      ComputeGroup(group);
+      bool drained = false;
+      {
+        MutexLock lock(mu_);
+        if (--cycle->unresolved == 0) {
+          --inflight_batches_;
+          drained = true;
+        }
+      }
+      // A worker may be parked waiting for in-flight batches to drain
+      // before an update; wake everyone to re-evaluate.
+      if (drained) queue_cv_.NotifyAll();
+    } else if (have_update) {
       const auto dispatch_time = std::chrono::steady_clock::now();
       queue_wait_.Record(ElapsedNanos(update.enqueued_at, dispatch_time));
       const std::uint64_t epoch =
@@ -348,13 +371,20 @@ void SkylineServer::WorkerLoop() {
       }
       queue_cv_.NotifyAll();
     } else {
-      ProcessBatch(std::move(groups));
+      std::vector<CuboidGroup> live = PrepareBatch(std::move(gathered));
       {
         MutexLock lock(mu_);
-        --inflight_batches_;
+        if (live.empty()) {
+          --inflight_batches_;  // triage resolved the whole cycle
+        } else {
+          auto open = std::make_shared<OpenCycle>();
+          open->unresolved = live.size();
+          open->groups = std::move(live);
+          open_cycles_.push_back(std::move(open));
+        }
       }
-      // A worker may be parked waiting for in-flight batches to drain
-      // before an update; wake everyone to re-evaluate.
+      // Wake idle workers to claim the groups, or an update parked on
+      // the drain.
       queue_cv_.NotifyAll();
     }
   }
@@ -394,7 +424,8 @@ std::vector<SkylineServer::CuboidGroup> SkylineServer::GatherBatch() {
   return groups;
 }
 
-void SkylineServer::ProcessBatch(std::vector<CuboidGroup> groups) {
+std::vector<SkylineServer::CuboidGroup> SkylineServer::PrepareBatch(
+    std::vector<CuboidGroup> groups) {
   const auto dispatch_time = std::chrono::steady_clock::now();
   for (const CuboidGroup& g : groups) {
     for (const Pending& p : g.waiters) {
@@ -402,8 +433,8 @@ void SkylineServer::ProcessBatch(std::vector<CuboidGroup> groups) {
     }
   }
 
-  // Deterministic compute order: larger cuboids first, so results of
-  // this cycle can seed its smaller members through the cuboid cache.
+  // Deterministic claim order: larger cuboids first, so results of this
+  // cycle can seed its smaller members through the cuboid cache.
   std::sort(groups.begin(), groups.end(),
             [](const CuboidGroup& a, const CuboidGroup& b) {
               if (a.v.size() != b.v.size()) return a.v.size() > b.v.size();
@@ -461,21 +492,17 @@ void SkylineServer::ProcessBatch(std::vector<CuboidGroup> groups) {
     }
     g.waiters = std::move(live);
   }
+  std::erase_if(groups, [](const CuboidGroup& g) { return g.waiters.empty(); });
 
   // Batch accounting AFTER triage: a cycle whose every request was
   // cancelled or shed computed nothing and is not a batch; only cuboids
   // with live waiters count, and batched_requests is exactly the
   // requests the batch computes answers for.
-  std::uint64_t live_cuboids = 0;
-  std::uint64_t live_requests = 0;
-  for (const CuboidGroup& g : groups) {
-    if (g.waiters.empty()) continue;
-    ++live_cuboids;
-    live_requests += g.waiters.size();
-  }
-  if (live_cuboids > 0) {
+  if (!groups.empty()) {
+    std::uint64_t live_requests = 0;
+    for (const CuboidGroup& g : groups) live_requests += g.waiters.size();
     batches_.fetch_add(1, std::memory_order_relaxed);
-    batched_cuboids_.fetch_add(live_cuboids, std::memory_order_relaxed);
+    batched_cuboids_.fetch_add(groups.size(), std::memory_order_relaxed);
     batched_requests_.fetch_add(live_requests, std::memory_order_relaxed);
   }
 
@@ -486,7 +513,6 @@ void SkylineServer::ProcessBatch(std::vector<CuboidGroup> groups) {
     std::uint64_t union_bits = 0;
     std::size_t unseeded = 0;
     for (const CuboidGroup& g : groups) {
-      if (g.waiters.empty()) continue;
       // epoch-ok: no epoch_delta passed — only a current-epoch ancestor
       // counts as a seed; stale entries cannot seed.
       if (!service_.PeekNearestAncestor(g.v, nullptr, nullptr)) {
@@ -497,7 +523,7 @@ void SkylineServer::ProcessBatch(std::vector<CuboidGroup> groups) {
     if (unseeded >= options_.union_seed_threshold) {
       bool union_is_member = false;
       for (const CuboidGroup& g : groups) {
-        if (!g.waiters.empty() && g.v.bits() == union_bits) {
+        if (g.v.bits() == union_bits) {
           union_is_member = true;
           break;
         }
@@ -509,19 +535,20 @@ void SkylineServer::ProcessBatch(std::vector<CuboidGroup> groups) {
     }
   }
 
-  for (CuboidGroup& g : groups) {
-    if (g.waiters.empty()) continue;
-    std::uint64_t epoch = 0;
-    std::vector<PointId> ids = service_.Query(g.v, &epoch);
-    const auto resolve_time = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < g.waiters.size(); ++i) {
-      Pending& p = g.waiters[i];
-      if (p.deadline <= resolve_time) {
-        deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-      }
-      Resolve(*p.state, StatusCode::kOk,
-              i + 1 == g.waiters.size() ? std::move(ids) : ids, epoch, 0);
+  return groups;
+}
+
+void SkylineServer::ComputeGroup(const CuboidGroup& group) {
+  std::uint64_t epoch = 0;
+  std::vector<PointId> ids = service_.Query(group.v, &epoch);
+  const auto resolve_time = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < group.waiters.size(); ++i) {
+    const Pending& p = group.waiters[i];
+    if (p.deadline <= resolve_time) {
+      deadline_misses_.fetch_add(1, std::memory_order_relaxed);
     }
+    Resolve(*p.state, StatusCode::kOk,
+            i + 1 == group.waiters.size() ? std::move(ids) : ids, epoch, 0);
   }
 }
 

@@ -22,6 +22,10 @@
 //     seed every member from it — one full-dataset scan amortized over
 //     the whole batch instead of one scan per member (the top-down
 //     skycube sharing scheme applied to the request stream itself).
+//     One worker gathers and orders a cycle; every worker computes it:
+//     the cycle's cuboid groups go on an open-cycle list, and a worker
+//     claims the next group, largest cuboid first, of the oldest open
+//     cycle before it gathers a new one.
 //   * Deadlines: every request carries a relative timeout (kNoTimeout =
 //     none). Deadlines are enforced at dispatch time: a request that
 //     expired while queued is shed (kDeadlineExceeded), served a
@@ -301,7 +305,8 @@ class SkylineServer {
   explicit SkylineServer(const Dataset& data, ServerOptions options = {});
 
   /// Resolves every still-queued request with kShutdown, then joins the
-  /// workers. In-flight computations finish and resolve normally.
+  /// workers. Cycles already gathered, unclaimed groups included, finish
+  /// and resolve normally.
   ~SkylineServer();
 
   SkylineServer(const SkylineServer&) = delete;
@@ -365,6 +370,14 @@ class SkylineServer {
     std::vector<Pending> waiters;
   };
 
+  /// A prepared cycle whose groups any worker may claim. Every field is
+  /// read and written under mu_ only.
+  struct OpenCycle {
+    std::vector<CuboidGroup> groups;  ///< Claim order: superset-first.
+    std::size_t next = 0;             ///< First unclaimed group.
+    std::size_t unresolved = 0;       ///< Groups not yet resolved.
+  };
+
   /// Resolves `state` exactly once (later calls are no-ops) and — only
   /// on the actual transition — increments the matching resolved_*
   /// terminal counter and the stale-epoch tallies, so the accounting
@@ -382,8 +395,16 @@ class SkylineServer {
   /// dispatched before it.
   std::vector<CuboidGroup> GatherBatch() SKYLINE_REQUIRES(mu_);
 
-  /// Computes / sheds / stale-serves one gathered cycle.
-  void ProcessBatch(std::vector<CuboidGroup> groups) SKYLINE_EXCLUDES(mu_);
+  /// Readies one gathered cycle for the workers: records queue waits,
+  /// sorts the groups superset-first, triages (cancels, sheds or
+  /// stale-serves) its requests, counts the batch and computes the union
+  /// seed. Returns the groups that still have live waiters, in claim
+  /// order.
+  std::vector<CuboidGroup> PrepareBatch(std::vector<CuboidGroup> groups)
+      SKYLINE_EXCLUDES(mu_);
+
+  /// Computes one claimed group's cuboid and resolves its waiters.
+  void ComputeGroup(const CuboidGroup& group) SKYLINE_EXCLUDES(mu_);
 
   /// Bounded-staleness answer for `v` from the nearest cached ancestor:
   /// `*status` is kOk when the exact current-epoch cuboid is cached,
@@ -408,7 +429,13 @@ class SkylineServer {
   /// batch may start, and an update may only start once every in-flight
   /// batch has drained.
   bool update_active_ SKYLINE_GUARDED_BY(mu_) = false;
+  /// Cycles gathered and not yet fully resolved: a cycle counts from its
+  /// gather until its last group resolves, on whichever worker.
   std::size_t inflight_batches_ SKYLINE_GUARDED_BY(mu_) = 0;
+  /// Prepared cycles with unclaimed groups, oldest first. A worker
+  /// claims from the front before it gathers a new cycle; a claimer
+  /// holds its cycle until the group resolves.
+  std::deque<std::shared_ptr<OpenCycle>> open_cycles_ SKYLINE_GUARDED_BY(mu_);
   // Written only while holding mu_ in Start(); joined in the destructor
   // after every worker exited, so never accessed concurrently.
   std::vector<std::thread> workers_;  // unguarded: joined before access

@@ -122,7 +122,9 @@ std::vector<PointId> SubspaceSkylineOverCandidates(
 
 namespace {
 
-/// Hash of the projection of a row onto a subspace (raw value bits).
+/// Hash of the projection of a row onto a subspace (value bits, with
+/// -0.0 folded into +0.0: the comparisons treat them as equal, so they
+/// must share a bucket).
 struct ProjectionHasher {
   const Dataset* data;
   Subspace subspace;
@@ -131,8 +133,9 @@ struct ProjectionHasher {
     const Value* row = data->row(p);
     std::size_t h = 0xcbf29ce484222325ull;
     subspace.ForEachDim([&](Dim i) {
+      const Value value = row[i] == 0 ? Value{0} : row[i];
       std::uint64_t bits;
-      std::memcpy(&bits, &row[i], sizeof(bits));
+      std::memcpy(&bits, &value, sizeof(bits));
       h ^= bits;
       h *= 0x100000001b3ull;
     });

@@ -137,6 +137,16 @@ TEST(QueryServiceTest, SeededAnswersAgreeWithColdOnDuplicateHeavyData) {
   }
 }
 
+TEST(QueryServiceTest, SeededTieRepairTreatsNegativeZeroAsZero) {
+  // Point 1 ties with point 0 on dimension 0 (-0.0 == 0.0) but is not
+  // in the pinned full-space seed, so only the tie repair can add it.
+  const Dataset data = Dataset::FromRows({{0.0, 1.0}, {-0.0, 2.0}});
+  QueryService service(data);
+  const Subspace v{0};
+  EXPECT_EQ(service.Query(v), SubspaceSkyline(data, v));
+  EXPECT_EQ(service.Stats().seeded, 1u);
+}
+
 TEST(QueryServiceTest, BoostedSeededKernelMatchesBnlSeededKernel) {
   // threshold 0 forces every seeded miss onto the subset-boosted
   // engine over the projected candidate rows; the default (large

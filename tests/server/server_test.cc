@@ -118,24 +118,29 @@ TEST(SkylineServerTest, SameCuboidRequestsCoalesceIntoOneCompute) {
 
 TEST(SkylineServerTest, UnionSeedAmortizesColdScansAcrossBatch) {
   const Dataset data = Generate(DataType::kAntiCorrelated, 300, 4, 85);
-  ServerOptions options;
-  options.auto_start = false;
-  options.workers = 1;
-  options.union_seed_threshold = 2;
-  options.query.pin_full_space = false;  // no universal ancestor
-  SkylineServer server(data, options);
   const Subspace a(0b0001);
   const Subspace b(0b0010);
-  ResponseHandle ha = server.Submit(a);
-  ResponseHandle hb = server.Submit(b);
-  server.Start();
-  EXPECT_EQ(ha.Wait().ids, SubspaceSkyline(data, a));
-  EXPECT_EQ(hb.Wait().ids, SubspaceSkyline(data, b));
-  const ServerStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.union_seeds, 1u);
-  // One cold scan (the union 0b0011), both members seeded from it.
-  EXPECT_EQ(stats.query.cold, 1u);
-  EXPECT_EQ(stats.query.seeded, 2u);
+  // The gathering worker seeds the cycle before any worker claims a
+  // member, so the counts do not depend on the worker count.
+  for (unsigned workers : {1u, 2u}) {
+    SCOPED_TRACE(workers);
+    ServerOptions options;
+    options.auto_start = false;
+    options.workers = workers;
+    options.union_seed_threshold = 2;
+    options.query.pin_full_space = false;  // no universal ancestor
+    SkylineServer server(data, options);
+    ResponseHandle ha = server.Submit(a);
+    ResponseHandle hb = server.Submit(b);
+    server.Start();
+    EXPECT_EQ(ha.Wait().ids, SubspaceSkyline(data, a));
+    EXPECT_EQ(hb.Wait().ids, SubspaceSkyline(data, b));
+    const ServerStatsSnapshot stats = server.Stats();
+    EXPECT_EQ(stats.union_seeds, 1u);
+    // One cold scan (the union 0b0011), both members seeded from it.
+    EXPECT_EQ(stats.query.cold, 1u);
+    EXPECT_EQ(stats.query.seeded, 2u);
+  }
 }
 
 TEST(SkylineServerTest, RejectPolicyOverloadsOnZeroCapacity) {
@@ -263,6 +268,53 @@ TEST(SkylineServerTest, DestructionResolvesQueuedRequestsAsShutdown) {
   EXPECT_TRUE(response.ids.empty());
 }
 
+TEST(SkylineServerTest, DestructionRightAfterStartResolvesEveryHandle) {
+  const Dataset data = Generate(DataType::kAntiCorrelated, 400, 4, 101);
+  const auto oracles = AllOracles(data);
+  std::vector<ResponseHandle> queries;  // queries[i] asks cuboid i + 1
+  ResponseHandle update;
+  ServerStatsSnapshot before;
+  {
+    ServerOptions options;
+    options.auto_start = false;
+    options.workers = 2;
+    options.inline_fast_hits = false;
+    SkylineServer server(data, options);
+    for (std::uint64_t bits = 1; bits < 16; ++bits) {
+      queries.push_back(server.Submit(Subspace(bits)));
+    }
+    update = server.SubmitUpdate(std::vector<Value>(4, -1.0), {});
+    before = server.Stats();
+    server.Start();
+  }  // destroyed while the workers gather, prepare or compute the cycle
+
+  // The counters die with the server, so the identity
+  // submitted + updates_submitted == resolved_total() is checked on
+  // the handles: each must have resolved exactly once.
+  std::uint64_t resolved = 0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ServerResponse response;
+    ASSERT_TRUE(queries[i].TryGet(&response)) << i + 1;
+    ++resolved;
+    if (response.status == StatusCode::kOk) {
+      EXPECT_EQ(response.epoch, 0u) << i + 1;
+      EXPECT_EQ(response.ids, oracles.at(i + 1)) << i + 1;
+    } else {
+      EXPECT_EQ(response.status, StatusCode::kShutdown) << i + 1;
+      EXPECT_TRUE(response.ids.empty()) << i + 1;
+    }
+  }
+  ServerResponse applied;
+  ASSERT_TRUE(update.TryGet(&applied));
+  ++resolved;
+  if (applied.status == StatusCode::kOk) {
+    EXPECT_EQ(applied.epoch, 1u);
+  } else {
+    EXPECT_EQ(applied.status, StatusCode::kShutdown);
+  }
+  EXPECT_EQ(before.submitted + before.updates_submitted, resolved);
+}
+
 TEST(SkylineServerTest, StatsAreInternallyConsistent) {
   const Dataset data = Generate(DataType::kUniformIndependent, 250, 4, 93);
   SkylineServer server(data);
@@ -314,7 +366,7 @@ TEST(SkylineServerUpdateTest, SubmitUpdateAppliesAndTagsEpoch) {
 }
 
 TEST(SkylineServerUpdateTest, UpdateIsABarrierBetweenQueuedBatches) {
-  const Dataset data = Generate(DataType::kUniformIndependent, 250, 3, 97);
+  const Dataset data = Generate(DataType::kAntiCorrelated, 2000, 3, 97);
   ServerOptions options;
   options.auto_start = false;
   options.workers = 2;  // the barrier, not worker count, must order them
@@ -322,29 +374,41 @@ TEST(SkylineServerUpdateTest, UpdateIsABarrierBetweenQueuedBatches) {
   SkylineServer server(data, options);
   const Subspace v(0b111);
 
-  // Queue order: query A | update (dominating point) | query B. The
-  // batcher must dispatch A before the update and B after it.
-  ResponseHandle before = server.Submit(v);
+  // Queue order: queries on four cuboids | update (dominating point) |
+  // query B. The batcher must gather the four into one cycle, resolve
+  // all of them (on both workers) before the update, and dispatch B
+  // after it.
+  const std::uint64_t cuboids[] = {0b111, 0b011, 0b101, 0b001};
+  std::vector<ResponseHandle> before;
+  for (std::uint64_t bits : cuboids) {
+    before.push_back(server.Submit(Subspace(bits)));
+  }
   ResponseHandle update =
       server.SubmitUpdate(std::vector<Value>{-1.0, -1.0, -1.0}, {});
   ResponseHandle after = server.Submit(v);
   server.Start();
 
-  const ServerResponse a = before.Wait();
-  EXPECT_EQ(a.status, StatusCode::kOk);
-  EXPECT_EQ(a.epoch, 0u);
-  EXPECT_EQ(a.ids, SubspaceSkyline(data, v));
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    const ServerResponse a = before[i].Wait();
+    EXPECT_EQ(a.status, StatusCode::kOk) << cuboids[i];
+    EXPECT_EQ(a.epoch, 0u) << cuboids[i];
+    EXPECT_EQ(a.ids, SubspaceSkyline(data, Subspace(cuboids[i])))
+        << cuboids[i];
+  }
 
   EXPECT_EQ(update.Wait().epoch, 1u);
 
   const ServerResponse b = after.Wait();
   EXPECT_EQ(b.status, StatusCode::kOk);
   EXPECT_EQ(b.epoch, 1u);
-  EXPECT_EQ(b.ids, std::vector<PointId>{250});
+  EXPECT_EQ(b.ids, std::vector<PointId>{2000});
 
   const ServerStatsSnapshot stats = server.Stats();
   EXPECT_EQ(stats.updates_applied, 1u);
   EXPECT_EQ(stats.batches, 2u);  // the update split one gather into two
+  EXPECT_EQ(stats.batched_cuboids, before.size() + 1);
+  // No compute overlapped the update: it would have been detached.
+  EXPECT_EQ(stats.query.aborted_inflight, 0u);
   EXPECT_EQ(stats.submitted + stats.updates_submitted, stats.resolved_total());
 }
 

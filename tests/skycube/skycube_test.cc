@@ -105,6 +105,16 @@ TEST(SkycubeTest, DuplicateProjectionRepair) {
   EXPECT_TRUE(SameIdSet(cube.skyline(Subspace{1}), {0}));
 }
 
+TEST(SkycubeTest, TieRepairTreatsNegativeZeroAsZero) {
+  // -0.0 == 0.0, so point 1 ties with point 0 on dimension 0 and is in
+  // the {0}-cuboid although point 0 dominates it in full space.
+  Dataset data = Dataset::FromRows({{0.0, 1.0}, {-0.0, 2.0}});
+  ASSERT_TRUE(SameIdSet(SubspaceSkyline(data, Subspace{0}), {0, 1}));
+  Skycube cube = Skycube::Compute(data, SkycubeStrategy::kTopDown);
+  EXPECT_TRUE(SameIdSet(cube.skyline(Subspace::Full(2)), {0}));
+  EXPECT_TRUE(SameIdSet(cube.skyline(Subspace{0}), {0, 1}));
+}
+
 TEST(SkycubeTest, QuantizedDuplicateHeavyDataAgrees) {
   Dataset base = Generate(DataType::kUniformIndependent, 400, 4, 9);
   std::vector<Value> values = base.values();
