@@ -14,7 +14,8 @@
 //
 // Checks per query: result equals the O(d N^2) oracle (computed fresh,
 // memoized per distinct mask); afterwards the stats identities
-// (queries = hits + misses, latency count, eviction/capacity bound).
+// (queries = hits + misses, latency count, eviction/capacity bound,
+// tie scans <= seeded misses).
 #ifndef SKYLINE_FUZZ_HARNESS_QUERY_SERVICE_H_
 #define SKYLINE_FUZZ_HARNESS_QUERY_SERVICE_H_
 
@@ -101,6 +102,8 @@ inline void RunQueryServiceFuzzInput(const std::uint8_t* data,
   FUZZ_CHECK(stats.seeded_tests + stats.cold_tests ==
                  stats.dominance_tests(),
              "dominance-test split inconsistent");
+  FUZZ_CHECK(stats.tie_scans <= stats.seeded,
+             "more tie scans than seeded misses");
 }
 
 }  // namespace skyline::fuzz

@@ -37,6 +37,20 @@ std::vector<PointId> SkylineOfRows(const SkylineAlgorithm& engine,
 
 }  // namespace
 
+Subspace DatasetVersion::distinct_dims() const {
+  if (!distinct_known_.load()) {
+    distinct_bits_.store(
+        DistinctDims(data, Subspace::Full(data.num_dims()), 0).bits());
+    distinct_known_.store(true);
+  }
+  return Subspace(distinct_bits_.load());
+}
+
+void DatasetVersion::set_distinct_dims(Subspace dims) {
+  distinct_bits_.store(dims.bits());
+  distinct_known_.store(true);
+}
+
 void QueryService::Entry::Publish(std::vector<PointId> new_ids) {
   {
     MutexLock lock(mu);
@@ -135,18 +149,27 @@ std::vector<PointId> QueryService::ComputeCold(const DatasetVersion& version,
                                                Subspace v,
                                                std::uint64_t* tests) const {
   if (version.num_live == 0) return {};
-  std::vector<PointId> live_ids;
-  live_ids.reserve(version.num_live);
-  for (PointId p = 0; p < version.data.num_points(); ++p) {
-    if (version.IsLive(p)) live_ids.push_back(p);
+  const ParallelSubsetSfs parallel(options_.threads, options_.algorithm);
+  const SfsSubset sequential(options_.algorithm);
+  const SkylineAlgorithm& engine =
+      version.num_live >= options_.parallel_cold_threshold
+          ? static_cast<const SkylineAlgorithm&>(parallel)
+          : sequential;
+  std::vector<PointId> ids;
+  if (v == Subspace::Full(version.data.num_dims()) && !version.has_removed) {
+    // Every row in every dimension: the engine reads the version's rows
+    // in place instead of a gathered copy of them.
+    SkylineStats stats;
+    ids = engine.Compute(version.data, &stats);
+    if (tests != nullptr) *tests += stats.dominance_tests;
+  } else {
+    std::vector<PointId> live_ids;
+    live_ids.reserve(version.num_live);
+    for (PointId p = 0; p < version.data.num_points(); ++p) {
+      if (version.IsLive(p)) live_ids.push_back(p);
+    }
+    ids = SkylineOfRows(engine, version.data, v, live_ids, tests);
   }
-  std::vector<PointId> ids =
-      live_ids.size() >= options_.parallel_cold_threshold
-          ? SkylineOfRows(
-                ParallelSubsetSfs(options_.threads, options_.algorithm),
-                version.data, v, live_ids, tests)
-          : SkylineOfRows(SfsSubset(options_.algorithm), version.data, v,
-                          live_ids, tests);
   std::sort(ids.begin(), ids.end());
   return ids;
 }
@@ -266,6 +289,8 @@ std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
     }
     next->has_removed = old->has_removed || !removes.empty();
     next->num_live = old->num_live + num_inserts - removes.size();
+    next->set_distinct_dims(
+        DistinctDims(next->data, old->distinct_dims(), first_inserted));
     version_ = next;
     new_epoch = next->epoch;
 
@@ -475,14 +500,22 @@ std::vector<PointId> QueryService::Query(Subspace v,
   if (ancestor != nullptr && ancestor_subspace != v) {
     // Top-down sharing from the ancestor cuboid: V-skyline of the
     // ancestor's ids, then the duplicate-projection tie repair (live
-    // rows only once the version carries tombstones).
+    // rows only once the version carries tombstones). A distinct
+    // dimension in V leaves every core member tied only with itself, so
+    // the repair would return the core: skip its scan of every row.
     // epoch-ok: FindBestAncestor only returns current-epoch entries, so
     // the seed matches `snap` (both captured under the same lock).
-    const std::vector<PointId> core =
+    std::vector<PointId> core =
         ComputeSeededCore(*snap, v, ancestor->published_ids(), &tests);
-    ids = snap->has_removed
-              ? CloseUnderProjectionTies(snap->data, v, core, snap->live)
-              : CloseUnderProjectionTies(snap->data, v, core);
+    if ((v & snap->distinct_dims()).empty()) {
+      ids = snap->has_removed
+                ? CloseUnderProjectionTies(snap->data, v, core, snap->live)
+                : CloseUnderProjectionTies(snap->data, v, core);
+      tie_scans_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      std::sort(core.begin(), core.end());
+      ids = std::move(core);
+    }
     seeded_.fetch_add(1, std::memory_order_relaxed);
     seeded_tests_.fetch_add(tests, std::memory_order_relaxed);
   } else {
@@ -551,6 +584,7 @@ QueryStatsSnapshot QueryService::Stats() const {
   snap.hits = hits_.load(std::memory_order_relaxed);
   snap.coalesced = coalesced_.load(std::memory_order_relaxed);
   snap.seeded = seeded_.load(std::memory_order_relaxed);
+  snap.tie_scans = tie_scans_.load(std::memory_order_relaxed);
   snap.cold = cold_.load(std::memory_order_relaxed);
   snap.evictions = evictions_.load(std::memory_order_relaxed);
   snap.seeded_tests = seeded_tests_.load(std::memory_order_relaxed);

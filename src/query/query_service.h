@@ -15,7 +15,10 @@
 //     ancestor, not just a parent: a U-dominator chain from any point
 //     terminates in sky(U) without increasing any coordinate, so every
 //     V-skyline point either is in sky(U) or ties on V with a core
-//     member, and every core member is V-undominated globally.
+//     member, and every core member is V-undominated globally. The
+//     repair scans every row; it is skipped when V contains one of the
+//     version's distinct_dims() (no two rows share a value there, so a
+//     row ties on V only with itself and the core is the answer).
 //   * Cold miss: no cached ancestor — the subset-boosted engine
 //     (sfs-subset, or the parallel partition + cross-filter engine
 //     beyond `parallel_cold_threshold` rows) computes the cuboid on the
@@ -130,6 +133,23 @@ struct DatasetVersion {
 
   DatasetVersion() : data(1) {}
   bool IsLive(PointId id) const { return live[id] != 0; }
+
+  /// Dimensions in which no two rows (removed ones included) share a
+  /// value; empty if any row holds a NaN. A seeded miss whose subspace
+  /// meets it skips the tie scan. Unless set, the first call computes
+  /// it (DistinctDims over every row), so a service that never seeds a
+  /// miss never pays for the pass. ApplyUpdate sets each later
+  /// version's from the old mask and the inserted rows; a removal keeps
+  /// it. Thread-safe.
+  Subspace distinct_dims() const;
+  /// Sets the mask; only before the version is shared.
+  void set_distinct_dims(Subspace dims);
+
+ private:
+  // Filled by the first distinct_dims() call unless set. Concurrent
+  // first callers may each run the pass; they store the same mask.
+  mutable std::atomic<bool> distinct_known_{false};
+  mutable std::atomic<std::uint64_t> distinct_bits_{0};
 };
 using DatasetVersionPtr = std::shared_ptr<const DatasetVersion>;
 
@@ -140,6 +160,8 @@ struct QueryStatsSnapshot {
   std::uint64_t hits = 0;        ///< Entry was ready on arrival.
   std::uint64_t coalesced = 0;   ///< Waited on another thread's compute.
   std::uint64_t seeded = 0;      ///< Misses computed from an ancestor.
+  std::uint64_t tie_scans = 0;   ///< Of those, misses that ran the tie
+                                 ///< scan (no distinct dim in the subspace).
   std::uint64_t cold = 0;        ///< Misses computed from scratch.
   std::uint64_t evictions = 0;   ///< Cuboids dropped by the LRU policy.
   std::uint64_t seeded_tests = 0;  ///< Dominance tests on seeded misses.
@@ -369,6 +391,7 @@ class QueryService {
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> coalesced_{0};
   std::atomic<std::uint64_t> seeded_{0};
+  std::atomic<std::uint64_t> tie_scans_{0};
   std::atomic<std::uint64_t> cold_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> seeded_tests_{0};

@@ -2,6 +2,8 @@
 #include "src/skycube/skycube.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <unordered_map>
 
@@ -122,9 +124,16 @@ std::vector<PointId> SubspaceSkylineOverCandidates(
 
 namespace {
 
-/// Hash of the projection of a row onto a subspace (value bits, with
-/// -0.0 folded into +0.0: the comparisons treat them as equal, so they
-/// must share a bucket).
+/// The bits of `value` with -0.0 folded into +0.0: the comparisons treat
+/// the two zeros as equal, so they must hash alike.
+std::uint64_t ValueKey(Value value) {
+  if (value == 0) value = 0;
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+/// Hash of the projection of a row onto a subspace.
 struct ProjectionHasher {
   const Dataset* data;
   Subspace subspace;
@@ -133,17 +142,132 @@ struct ProjectionHasher {
     const Value* row = data->row(p);
     std::size_t h = 0xcbf29ce484222325ull;
     subspace.ForEachDim([&](Dim i) {
-      const Value value = row[i] == 0 ? Value{0} : row[i];
-      std::uint64_t bits;
-      std::memcpy(&bits, &value, sizeof(bits));
-      h ^= bits;
+      h ^= ValueKey(row[i]);
       h *= 0x100000001b3ull;
     });
     return h;
   }
 };
 
+/// Open-addressing set of ValueKeys, reused by DistinctDims for every
+/// dimension. It starts with kFirstSlots slots and grows once, to room
+/// for `max_keys` at load 1/2, so a dimension that repeats a value early
+/// never pays for a table sized to every row. The empty-slot marker is a
+/// NaN pattern; NaN keys need no care, as any NaN empties DistinctDims'
+/// answer.
+class ValueKeySet {
+ public:
+  explicit ValueKeySet(std::size_t max_keys)
+      : full_slots_(std::bit_ceil(std::max<std::size_t>(16, 2 * max_keys))) {}
+
+  void Clear() {
+    std::fill(slots_.begin(), slots_.end(), kEmpty);
+    size_ = 0;
+  }
+
+  /// Adds `key`; false if it was already present.
+  bool Insert(std::uint64_t key) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    std::uint64_t& slot = FindSlot(key);
+    if (slot == key) return false;
+    slot = key;
+    ++size_;
+    return true;
+  }
+
+  bool Contains(std::uint64_t key) {
+    return !slots_.empty() && FindSlot(key) == key;
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  static constexpr std::size_t kFirstSlots = std::size_t{1} << 12;
+
+  /// The slot holding `key`, or the empty slot where it would go
+  /// (multiply-shift hashing, linear probing).
+  std::uint64_t& FindSlot(std::uint64_t key) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = (key * 0x9e3779b97f4a7c15ull) >> shift_;;
+         i = (i + 1) & mask) {
+      if (slots_[i] == key || slots_[i] == kEmpty) return slots_[i];
+    }
+  }
+
+  void Grow() {
+    std::vector<std::uint64_t> old(
+        slots_.empty() ? std::min(kFirstSlots, full_slots_) : full_slots_,
+        kEmpty);
+    old.swap(slots_);
+    shift_ = 64 - std::countr_zero(slots_.size());
+    for (std::uint64_t key : old) {
+      if (key != kEmpty) FindSlot(key) = key;
+    }
+  }
+
+  const std::size_t full_slots_;
+  std::vector<std::uint64_t> slots_;
+  int shift_ = 0;
+  std::size_t size_ = 0;
+};
+
+/// New-row counts up to which DistinctDims compares rows directly
+/// instead of hashing: a few inserted rows against every old row is one
+/// sequential pass, where the table probes every old value once per
+/// dimension.
+constexpr std::size_t kDistinctCompareMaxRows = 12;
+
 }  // namespace
+
+Subspace DistinctDims(const Dataset& data, Subspace dims, PointId first_new) {
+  const Dim d = data.num_dims();
+  const std::size_t n = data.num_points();
+  SKYLINE_ASSERT(first_new <= n, "DistinctDims: first_new beyond the rows");
+  SKYLINE_ASSERT(dims.IsSubsetOf(Subspace::Full(d)),
+                 "DistinctDims: dims outside the dataset's space");
+  if (dims.empty() || first_new == n) return dims;
+  const Value* values = data.values().data();
+  Subspace distinct = dims;
+  if (n - first_new <= kDistinctCompareMaxRows) {
+    // One pass over the rows, each compared with every later new row.
+    std::uint64_t repeated = 0;
+    for (std::size_t p = 0; p < n; ++p) {
+      const Value* a = values + p * d;
+      for (std::size_t q = std::max<std::size_t>(first_new, p + 1); q < n;
+           ++q) {
+        const Value* b = values + q * d;
+        for (Dim i = 0; i < d; ++i) {
+          repeated |= std::uint64_t{a[i] == b[i]} << i;
+        }
+      }
+    }
+    distinct = dims.Difference(Subspace(repeated));
+  } else {
+    // Per dimension: hash the new rows' values, then probe the old
+    // rows'. A dimension stops at its first repeated value.
+    ValueKeySet seen(n - first_new);
+    dims.ForEachDim([&](Dim i) {
+      seen.Clear();
+      bool repeated = false;
+      for (std::size_t q = first_new; q < n && !repeated; ++q) {
+        repeated = !seen.Insert(ValueKey(values[q * d + i]));
+      }
+      for (std::size_t p = 0; p < first_new && !repeated; ++p) {
+        repeated = seen.Contains(ValueKey(values[p * d + i]));
+      }
+      if (repeated) distinct.Remove(i);
+    });
+  }
+  // A NaN equals nothing, itself included, so the tie scan drops a core
+  // member that holds one: the shortcut needs NaN-free rows. Checked
+  // last because an empty answer needs no check — which also makes a
+  // NaN read as a repeat above harmless.
+  if (distinct.empty()) return distinct;
+  bool has_nan = false;
+  for (std::size_t k = std::size_t{first_new} * d; k < n * d; ++k) {
+    has_nan |= std::isnan(values[k]);
+  }
+  return has_nan ? Subspace() : distinct;
+}
 
 namespace {
 
@@ -238,6 +362,9 @@ Skycube Skycube::Compute(const Dataset& data, SkycubeStrategy strategy,
     return a < b;
   });
 
+  // One pass decides, for every cuboid at once, whether its tie closure
+  // can add anything.
+  const Subspace distinct = DistinctDims(data, Subspace::Full(d), 0);
   for (std::uint64_t bits : order) {
     const Subspace subspace(bits);
     if (subspace == Subspace::Full(d)) {
@@ -251,10 +378,16 @@ Skycube Skycube::Compute(const Dataset& data, SkycubeStrategy strategy,
 
     // Skyline of the candidates under V, closed under V-projection
     // equality over the whole dataset: a point that ties on V with a
-    // core member is equally non-dominated.
-    const std::vector<PointId> core =
+    // core member is equally non-dominated. With a distinct dimension
+    // in V the closure is the core itself.
+    std::vector<PointId> core =
         SubspaceSkylineOverCandidates(data, subspace, candidates, tests);
-    cube.cuboids_[bits] = CloseUnderProjectionTies(data, subspace, core);
+    if ((subspace & distinct).empty()) {
+      cube.cuboids_[bits] = CloseUnderProjectionTies(data, subspace, core);
+    } else {
+      std::sort(core.begin(), core.end());
+      cube.cuboids_[bits] = std::move(core);
+    }
   }
   return cube;
 }

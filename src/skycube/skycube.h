@@ -11,7 +11,11 @@
 // sky(V) ⊆ sky(U) does not survive: a point can be in sky(V) while
 // absent from every parent skyline if it ties on V with a parent-skyline
 // member. The implementation repairs exactly that case by closing the
-// candidate skyline under V-projection equality.
+// candidate skyline under V-projection equality. That closure scans
+// every row; it is skipped when V contains a dimension in which no two
+// rows share a value (DistinctDims) — the distinct-value assumption of
+// the skycube papers — because then each row ties on V only with
+// itself and the closure adds nothing.
 #ifndef SKYLINE_SKYCUBE_SKYCUBE_H_
 #define SKYLINE_SKYCUBE_SKYCUBE_H_
 
@@ -71,6 +75,18 @@ std::vector<PointId> CloseUnderProjectionTies(const Dataset& data,
                                               const std::vector<PointId>& core,
                                               const std::vector<char>& live);
 
+/// The dimensions of `dims` in which no two rows of `data` share a value
+/// (-0.0 counts as equal to +0.0), or the empty subspace if a checked
+/// row holds a NaN in any dimension. Only the rows from `first_new` on
+/// are checked, against each other and against the older rows: rows
+/// [0, first_new) must already be pairwise distinct in `dims` and free
+/// of NaN — `dims` is this function's answer for them, or any subset of
+/// it (first_new = 0 checks every row). When a subspace V shares a
+/// dimension with the answer, a row ties on V only with itself, so
+/// CloseUnderProjectionTies over V returns its (live) core unchanged,
+/// ids ascending.
+Subspace DistinctDims(const Dataset& data, Subspace dims, PointId first_new);
+
 /// Copies `data` restricted to the member dimensions of the non-empty
 /// `subspace` (column order preserved, row ids unchanged) — the bridge
 /// that lets the full-space subset-boosted engines answer subspace
@@ -82,8 +98,9 @@ enum class SkycubeStrategy {
   /// Every cuboid computed independently from the full dataset.
   kNaive,
   /// Top-down sharing: each cuboid's candidates are its parent cuboid's
-  /// skyline, closed under projection equality. Exact, and much cheaper
-  /// whenever skylines are small relative to N.
+  /// skyline, closed under projection equality (a no-op, skipped, on
+  /// cuboids that contain a DistinctDims dimension of the data). Exact,
+  /// and much cheaper whenever skylines are small relative to N.
   kTopDown,
 };
 

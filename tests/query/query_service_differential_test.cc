@@ -43,7 +43,9 @@ struct LoadConfig {
   bool same_stream;  // all threads replay one stream → coalescing storm
 };
 
-void RunLoad(const Dataset& data, const LoadConfig& config) {
+/// Runs the load, checks every answer and the counter identities, and
+/// returns the final counters.
+QueryStatsSnapshot RunLoad(const Dataset& data, const LoadConfig& config) {
   const auto oracles = AllOracles(data);
   QueryService service(data, config.options);
   const std::uint64_t num_masks = std::uint64_t{1} << data.num_dims();
@@ -73,12 +75,17 @@ void RunLoad(const Dataset& data, const LoadConfig& config) {
       << config.label;
   EXPECT_EQ(stats.hits + stats.misses(), stats.queries) << config.label;
   EXPECT_EQ(stats.latency.total, stats.queries) << config.label;
+  EXPECT_LE(stats.tie_scans, stats.seeded) << config.label;
+  return stats;
 }
 
 TEST(QueryServiceDifferentialTest, RoomyCacheRandomStreams) {
   const Dataset data = Generate(DataType::kUniformIndependent, 400, 4, 41);
   LoadConfig config{"roomy", {}, 4, 150, false};
-  RunLoad(data, config);
+  const QueryStatsSnapshot stats = RunLoad(data, config);
+  // UI values never repeat, so no seeded miss scans for ties.
+  EXPECT_GT(stats.seeded, 0u);
+  EXPECT_EQ(stats.tie_scans, 0u);
 }
 
 TEST(QueryServiceDifferentialTest, TinyCacheEvictionHeavy) {
@@ -124,7 +131,10 @@ TEST(QueryServiceDifferentialTest, DuplicateHeavyDataUnderLoad) {
   const Dataset data(4, std::move(values));
   LoadConfig config{"duplicates", {}, 4, 120, false};
   config.options.max_entries = 3;
-  RunLoad(data, config);
+  const QueryStatsSnapshot stats = RunLoad(data, config);
+  // Every dimension repeats values: every seeded miss runs the scan.
+  EXPECT_GT(stats.seeded, 0u);
+  EXPECT_EQ(stats.tie_scans, stats.seeded);
 }
 
 }  // namespace

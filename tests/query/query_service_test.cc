@@ -145,6 +145,7 @@ TEST(QueryServiceTest, SeededTieRepairTreatsNegativeZeroAsZero) {
   const Subspace v{0};
   EXPECT_EQ(service.Query(v), SubspaceSkyline(data, v));
   EXPECT_EQ(service.Stats().seeded, 1u);
+  EXPECT_EQ(service.Stats().tie_scans, 1u);  // dimension 0 repeats a value
 }
 
 TEST(QueryServiceTest, BoostedSeededKernelMatchesBnlSeededKernel) {

@@ -176,6 +176,41 @@ TEST(QueryUpdateTest, RemovedPinnedSeedMemberIsRecomputedEagerly) {
   ExpectAllCuboidsMatchOracle(service);
 }
 
+TEST(QueryUpdateTest, InsertThatRepeatsAValueReenablesTheTieScan) {
+  // UI values are distinct in every dimension, so seeded misses skip the
+  // tie scan. The inserted row repeats the dimension-0 minimum and is
+  // worse everywhere else: the full space drops it, but it ties the
+  // minimum on {0}, so only the tie scan can answer {0} — and only if
+  // the update took dimension 0 out of the distinct mask.
+  const Dataset data = Generate(DataType::kUniformIndependent, 300, 3, 52);
+  QueryService service(data);
+  const Subspace full = Subspace::Full(3);
+  ASSERT_EQ(service.current_version()->distinct_dims(), full);
+  PointId argmin = 0;
+  for (PointId p = 1; p < data.num_points(); ++p) {
+    if (data.row(p)[0] < data.row(argmin)[0]) argmin = p;
+  }
+  const std::vector<Value> insert = {data.row(argmin)[0], 1.0, 1.0};
+  service.ApplyUpdate(insert, {});
+  EXPECT_EQ(service.current_version()->distinct_dims(), (Subspace{1, 2}));
+
+  const PointId inserted = static_cast<PointId>(data.num_points());
+  EXPECT_EQ(service.Query(Subspace{0}),
+            (std::vector<PointId>{argmin, inserted}));
+  EXPECT_EQ(service.Stats().tie_scans, 1u);
+  // {0, 1} holds a distinct dimension: seeded, no scan.
+  EXPECT_EQ(service.Query(Subspace{0, 1}),
+            OracleSkyline(*service.current_version(), Subspace{0, 1}));
+  EXPECT_EQ(service.Stats().seeded, 2u);
+  EXPECT_EQ(service.Stats().tie_scans, 1u);
+
+  // A removal keeps the mask: removed rows still count.
+  const std::vector<PointId> remove = {0};
+  service.ApplyUpdate({}, remove);
+  EXPECT_EQ(service.current_version()->distinct_dims(), (Subspace{1, 2}));
+  ExpectAllCuboidsMatchOracle(service);
+}
+
 TEST(QueryUpdateTest, PeekExactEpochOptInContract) {
   const Dataset data = Generate(DataType::kUniformIndependent, 200, 3, 46);
   QueryServiceOptions options;

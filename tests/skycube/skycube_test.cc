@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "src/core/dominance.h"
 #include "src/core/verify.h"
 #include "src/data/generator.h"
@@ -129,6 +134,25 @@ TEST(SkycubeTest, QuantizedDuplicateHeavyDataAgrees) {
   }
 }
 
+TEST(SkycubeTest, MixedDistinctAndTiedDimensionsAgree) {
+  // Dimension 0 keeps distinct values, dimensions 1 and 2 are quantized:
+  // cuboids containing dimension 0 skip the tie scan, {1}, {2} and
+  // {1,2} run it.
+  Dataset base = Generate(DataType::kAntiCorrelated, 300, 3, 11);
+  std::vector<Value> values = base.values();
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    if (k % 3 != 0) values[k] = std::floor(values[k] * 4);
+  }
+  Dataset data(3, std::move(values));
+  ASSERT_EQ(DistinctDims(data, Subspace::Full(3), 0), Subspace{0});
+  Skycube shared = Skycube::Compute(data, SkycubeStrategy::kTopDown);
+  for (std::uint64_t bits = 1; bits < 8; ++bits) {
+    const Subspace v(bits);
+    EXPECT_EQ(shared.skyline(v), ReferenceSubspaceSkyline(data, v))
+        << v.ToString();
+  }
+}
+
 TEST(SkycubeTest, TopDownSpendsFewerTests) {
   Dataset data = Generate(DataType::kCorrelated, 2000, 6, 7);
   std::uint64_t naive_tests = 0, shared_tests = 0;
@@ -143,6 +167,80 @@ TEST(SkycubeTest, TotalSizeSumsCuboids) {
   // Cuboids: {0} -> {0}; {1} -> {1}; {0,1} -> {0,1}.
   EXPECT_EQ(cube.num_cuboids(), 3u);
   EXPECT_EQ(cube.total_size(), 4u);
+}
+
+TEST(DistinctDimsTest, UniformDataIsDistinctInEveryDimension) {
+  const Dataset data = Generate(DataType::kUniformIndependent, 2000, 6, 21);
+  EXPECT_EQ(DistinctDims(data, Subspace::Full(6), 0), Subspace::Full(6));
+}
+
+TEST(DistinctDimsTest, OneRepeatedValueRemovesOnlyItsDimension) {
+  Dataset data = Generate(DataType::kUniformIndependent, 500, 4, 22);
+  std::vector<Value> values = data.values();
+  values[300 * 4 + 2] = values[17 * 4 + 2];  // rows 17 and 300 share dim 2
+  data = Dataset(4, std::move(values));
+  EXPECT_EQ(DistinctDims(data, Subspace::Full(4), 0), (Subspace{0, 1, 3}));
+  // Only the dimensions asked about are checked.
+  EXPECT_EQ(DistinctDims(data, Subspace{1, 2}, 0), Subspace{1});
+}
+
+TEST(DistinctDimsTest, NegativeZeroEqualsZero) {
+  const Dataset data = Dataset::FromRows({{0.0, 1.0}, {-0.0, 2.0}});
+  EXPECT_EQ(DistinctDims(data, Subspace::Full(2), 0), Subspace{1});
+  // The same pair across the incremental boundary, by both the direct
+  // compare and the hashed path (20 rows, all distinct in dimension 1).
+  std::vector<std::vector<Value>> rows;
+  rows.push_back({-0.0, 0.5});
+  for (int i = 1; i < 20; ++i) rows.push_back({Value(i), Value(i) + 0.5});
+  rows.push_back({0.0, 100.5});
+  const Dataset few = Dataset::FromRows(rows);
+  EXPECT_EQ(DistinctDims(few, Subspace::Full(2), 20), Subspace{1});
+  EXPECT_EQ(DistinctDims(few, Subspace::Full(2), 1), Subspace{1});
+}
+
+TEST(DistinctDimsTest, NanEmptiesTheMask) {
+  const Value nan = std::numeric_limits<Value>::quiet_NaN();
+  // Dimension 0 is distinct, but the tie scan would drop a core member
+  // whose row holds a NaN anywhere in V.
+  EXPECT_EQ(DistinctDims(Dataset::FromRows({{1.0, nan}, {2.0, 3.0}}),
+                         Subspace::Full(2), 0),
+            Subspace());
+  const Dataset late_nan =
+      Dataset::FromRows({{1.0, 4.0}, {2.0, 3.0}, {3.0, nan}});
+  EXPECT_EQ(DistinctDims(late_nan, Subspace::Full(2), 2), Subspace());
+  // A NaN in every row of a larger input, on the hashed path.
+  std::vector<std::vector<Value>> rows;
+  for (int i = 0; i < 40; ++i) rows.push_back({Value(i), nan});
+  EXPECT_EQ(DistinctDims(Dataset::FromRows(rows), Subspace::Full(2), 0),
+            Subspace());
+}
+
+TEST(DistinctDimsTest, IncrementalEqualsFromScratch) {
+  // Small-integer values over ranges that make some dimensions repeat
+  // and others stay distinct; zeros get a random sign. Split points
+  // cover both the direct compare (few new rows) and the hashed path.
+  std::mt19937_64 rng(23);
+  const std::uint64_t ranges[] = {8, 400, 100000, 1000000000};
+  for (int trial = 0; trial < 300; ++trial) {
+    const Dim d = 4;
+    const std::size_t n = 1 + rng() % 60;
+    std::vector<Value> values;
+    for (std::size_t p = 0; p < n; ++p) {
+      for (Dim i = 0; i < d; ++i) {
+        const std::uint64_t range = ranges[(i + trial) % 4];
+        const Value x = static_cast<Value>(rng() % range);
+        values.push_back(x == 0 && rng() % 2 == 0 ? -0.0 : x);
+      }
+    }
+    const Dataset data(d, values);
+    const std::size_t split = rng() % (n + 1);
+    const Dataset prefix(
+        d, std::vector<Value>(values.begin(), values.begin() + split * d));
+    const Subspace old_mask = DistinctDims(prefix, Subspace::Full(d), 0);
+    EXPECT_EQ(DistinctDims(data, old_mask, static_cast<PointId>(split)),
+              DistinctDims(data, Subspace::Full(d), 0))
+        << "trial " << trial << ", n " << n << ", split " << split;
+  }
 }
 
 }  // namespace
