@@ -166,8 +166,8 @@ inline BatchProbeResult DominatesAny(const AlignedDataset& rows,
 }
 
 /// Folds the dominating subspace of candidate `q_row` over the pivot
-/// block `ids` in one pass — the mask re-base shape of the parallel
-/// subset engine and the Merge postcondition. A pivot with empty
+/// block `ids` in one pass — the shape of the streaming skyline's
+/// reference-set filter and of the Merge postcondition. A pivot with empty
 /// D_{q<p} that is strictly better somewhere eliminates q and stops the
 /// scan; an exact duplicate of q contributes nothing and the scan
 /// continues, exactly like the scalar loops. Dispatches to the active

@@ -1,14 +1,13 @@
 #include "src/parallel/parallel_subset.h"
 
 #include <algorithm>
-#include <numeric>
-#include <utility>
+#include <cstdint>
+#include <span>
 
 #include "src/core/aligned_dataset.h"
 #include "src/core/contracts.h"
 #include "src/core/dominance.h"
 #include "src/core/kernels.h"
-#include "src/core/scores.h"
 #include "src/parallel/work_partitioner.h"
 #include "src/subset/merge.h"
 #include "src/subset/subset_index.h"
@@ -17,224 +16,135 @@ namespace skyline {
 
 namespace {
 
-/// Local skyline of one partition, as produced by the Merge pass plus a
-/// boosted SFS scan restricted to the partition.
-struct LocalResult {
-  /// The partition's pivots (skyline points of the partition by
-  /// construction) — together across partitions they form the global
-  /// reference set S_glob.
-  std::vector<PointId> pivots;
+/// Block points per work unit of a parallel step: enough probes to
+/// amortize claiming a unit, few enough to balance a block over the team.
+constexpr std::size_t kPointsPerUnit = 32;
 
-  /// Non-pivot local skyline points, in acceptance (monotone score)
-  /// order, with their masks relative to this partition's pivots.
-  std::vector<PointId> accepted;
-  std::vector<Subspace> accepted_masks;
-};
-
-/// A partition's local skyline after re-basing onto the global pivot
-/// union: members not eliminated by a foreign pivot, with full
-/// D_{p<S_glob} masks.
-struct RebasedResult {
-  std::vector<PointId> members;
-  std::vector<Subspace> masks;
-};
+std::size_t UnitsFor(std::size_t points) {
+  return (points + kPointsPerUnit - 1) / kPointsPerUnit;
+}
 
 }  // namespace
 
 // Concurrency discipline (checked statically, see docs/static_analysis.md):
-// this engine is deliberately lock-free — no field of it is mutable
-// shared state, so there is nothing for src/core/sync.h to guard. Every
-// phase writes only into the slot of the unit it executes (`locals[t]`,
-// `rebased[t]`, `slices[t]`, `surviving[t]`, and the matching
-// StatsAccumulator slot), reads of cross-partition data touch only
-// structures frozen before the phase started (`aligned`, `partitions`,
-// `locals` in phase 2, `global_index` in phase 3), and the join inside
-// ParallelForEachUnit sequences the phases. Exceptions thrown by a unit
-// propagate to this thread (ParallelForEachUnit rethrows after joining),
-// so a throwing partition cannot leak threads or half-built results.
+// this engine holds no lock. The two parallel steps of a block write only
+// the slots of the unit they execute (the `dominated` flags of the
+// unit's points and the unit's StatsAccumulator slot) and read only what the
+// owning thread froze before the step started (`aligned`, the Merge
+// output, `index`, the step-1 survivors). The owning thread mutates
+// `index` only between steps; WorkerTeam::ForEachUnit orders every step
+// after the owner's earlier writes and before its later reads. A unit
+// that throws is rethrown here once every member has left the step, and
+// unwinding past `team` joins its threads.
 std::vector<PointId> ParallelSubsetSfs::Compute(const Dataset& data,
                                                 SkylineStats* stats) const {
-  const std::size_t n = data.num_points();
   const Dim d = data.num_dims();
   if (stats != nullptr) *stats = SkylineStats{};
-  if (n == 0) return {};
+  if (data.num_points() == 0) return {};
 
-  // One shared, padded, cache-line-aligned copy of the rows: every
-  // cross-partition probe below runs the vectorized kernels over it.
-  // Read-only after construction, so all workers share it freely —
-  // which is why the (otherwise lazy) quantized prefilter plane must
-  // be built up front, before the workers start probing.
+  // Merge pass and scan order: exactly SfsSubset's.
+  MergeResult merge = MergeSubspaces(data, EffectiveSigma(options_.sigma, d));
+  SortSurvivorsByScore(data, options_.sort, &merge);
+  const std::vector<PointId>& ids = merge.remaining;
+  const std::vector<Subspace>& masks = merge.subspaces;
+  const std::size_t m = ids.size();
+  const std::size_t block = block_size_ > 0 ? block_size_ : kDefaultBlockSize;
+
+  // One shared, padded, cache-line-aligned copy of the rows for the
+  // vectorized kernels. Read-only once the steps start, which is why the
+  // (otherwise lazy) quantized prefilter plane is built up front.
   AlignedDataset aligned(data);
   aligned.EnsureQuantized();
 
-  const std::size_t num_parts =
-      partitions_ > 0 ? partitions_ : DeterministicPartitionCount(n);
-  const unsigned workers = EffectiveWorkers(threads_, num_parts);
-  const int sigma = EffectiveSigma(options_.sigma, d);
+  // Accepted survivors, under their masks; pivots stay out.
+  SubsetIndex index(d);
+  std::vector<PointId> result = merge.pivots;
+  SkylineStats total;
+  total.dominance_tests = merge.dominance_tests;
+  total.pivot_count = merge.pivots.size();
+  total.merge_pruned = merge.pruned;
 
-  // Global monotone order (score, sum, id) — the same order SfsSubset
-  // scans in. Dealing it round-robin keeps every partition sorted and
-  // statistically identical, so the per-partition Merge passes see
-  // comparable inputs and the local scans need no re-sort.
-  const std::vector<Value> scores = ComputeScores(data, options_.sort);
-  const std::vector<Value> sums =
-      options_.sort == ScoreFunction::kSum
-          ? std::vector<Value>{}
-          : ComputeScores(data, ScoreFunction::kSum);
-  std::vector<PointId> sorted_ids(n);
-  std::iota(sorted_ids.begin(), sorted_ids.end(), PointId{0});
-  std::sort(sorted_ids.begin(), sorted_ids.end(), [&](PointId a, PointId b) {
-    if (scores[a] != scores[b]) return scores[a] < scores[b];
-    if (!sums.empty() && sums[a] != sums[b]) return sums[a] < sums[b];
-    return a < b;
-  });
-  const std::vector<std::vector<PointId>> partitions =
-      DealRoundRobin(sorted_ids, num_parts);
+  // One team for the whole scan, sized by the largest step.
+  WorkerTeam team(EffectiveWorkers(threads_, UnitsFor(std::min(block, m))));
+  std::vector<std::uint8_t> dominated(std::min(block, m));
+  std::vector<std::size_t> survivors;  // step-1 survivors, as positions
+  // Dense copies of their masks and ids: the step-2 gather reads them
+  // O(block²) times per block.
+  std::vector<std::uint64_t> survivor_bits;
+  std::vector<PointId> survivor_ids;
 
-  // ---- Phase 1: parallel Merge pass + local boosted SFS. ----
-  // Pivots are deliberately *not* registered in the local index: the
-  // Merge pass already compared every survivor against every pivot, so
-  // re-testing them (as the sequential SfsSubset faithfully does) adds
-  // nothing here.
-  std::vector<LocalResult> locals(num_parts);
-  StatsAccumulator local_stats(num_parts);
-  ParallelForEachUnit(num_parts, workers, [&](std::size_t t) {
-    SkylineStats s;
-    MergeResult merge = MergeSubspacesOver(data, partitions[t], sigma);
-    s.dominance_tests += merge.dominance_tests;
-    s.pivot_count = merge.pivots.size();
-    s.merge_pruned = merge.pruned;
+  for (std::size_t begin = 0; begin < m; begin += block) {
+    const std::size_t size = std::min(block, m - begin);
 
-    SubsetIndex index(d);
-    LocalResult& local = locals[t];
-    std::vector<PointId> candidates;
-    // merge.remaining preserves the partition's (score, sum, id) order,
-    // so the scan is a valid SFS without re-sorting.
-    for (std::size_t i = 0; i < merge.remaining.size(); ++i) {
-      const PointId q = merge.remaining[i];
-      const Subspace mask = merge.subspaces[i];
-      candidates.clear();
-      index.Query(mask, &candidates, &s.index_nodes_visited);
-      ++s.index_queries;
-      s.index_candidates += candidates.size();
-      const kernels::BatchProbeResult probe =
-          kernels::DominatesAny(aligned, candidates, aligned.row(q), d);
-      s.dominance_tests += probe.scanned;
-      const bool dominated = probe.first != kernels::kNoDominator;
-      if (!dominated) {
-        local.accepted.push_back(q);
-        local.accepted_masks.push_back(mask);
-        index.Add(q, mask);
+    // Step 1: probe the index committed before this block.
+    StatsAccumulator probe_stats(UnitsFor(size));
+    team.ForEachUnit(probe_stats.num_slots(), [&](std::size_t unit) {
+      SkylineStats& s = probe_stats.slot(unit);
+      std::vector<PointId> candidates;
+      const std::size_t last = std::min(size, (unit + 1) * kPointsPerUnit);
+      for (std::size_t k = unit * kPointsPerUnit; k < last; ++k) {
+        const std::size_t i = begin + k;
+        candidates.clear();
+        index.Query(masks[i], &candidates, &s.index_nodes_visited);
+        ++s.index_queries;
+        s.index_candidates += candidates.size();
+        const kernels::BatchProbeResult probe =
+            kernels::DominatesAny(aligned, candidates, aligned.row(ids[i]), d);
+        s.dominance_tests += probe.scanned;
+        dominated[k] = probe.first != kernels::kNoDominator;
       }
+    });
+    total.Accumulate(probe_stats.Combine());
+
+    survivors.clear();
+    survivor_bits.clear();
+    survivor_ids.clear();
+    for (std::size_t k = 0; k < size; ++k) {
+      if (dominated[k] != 0) continue;
+      survivors.push_back(k);
+      survivor_bits.push_back(masks[begin + k].bits());
+      survivor_ids.push_back(ids[begin + k]);
     }
-    local.pivots = std::move(merge.pivots);
-    local_stats.slot(t) = s;
-  });
 
-  // Single partition: the local skyline IS the skyline — no foreign
-  // pivots to re-base against, nothing to cross-filter.
-  if (num_parts == 1) {
-    std::vector<PointId> result = std::move(locals[0].pivots);
-    result.insert(result.end(), locals[0].accepted.begin(),
-                  locals[0].accepted.end());
-    if (stats != nullptr) {
-      SkylineStats total = local_stats.Combine();
-      total.skyline_size = result.size();
-      *stats = total;
-    }
-    return result;
-  }
-
-  // ---- Phase 2: re-base masks onto the global pivot union S_glob and
-  // build the per-partition slices of the shared index. ----
-  // Stored masks must be the *full* D_{p<S_glob} for Lemma 5.1 to hold
-  // against any querying point, so pivots also collect contributions
-  // from their own partition's sibling pivots (which, being mutually
-  // non-dominating, can only add dimensions, never eliminate).
-  std::vector<RebasedResult> rebased(num_parts);
-  std::vector<SubsetIndex> slices;
-  slices.reserve(num_parts);
-  for (std::size_t t = 0; t < num_parts; ++t) slices.emplace_back(d);
-  StatsAccumulator rebase_stats(num_parts);
-  ParallelForEachUnit(num_parts, workers, [&](std::size_t t) {
-    SkylineStats s;
-    RebasedResult& out = rebased[t];
-    const LocalResult& local = locals[t];
-    out.members.reserve(local.pivots.size() + local.accepted.size());
-    out.masks.reserve(out.members.capacity());
-
-    auto rebase = [&](PointId p, Subspace base, bool include_own_pivots) {
-      const Value* row = aligned.row(p);
-      Subspace gmask = base;
-      for (std::size_t o = 0; o < num_parts; ++o) {
-        if (o == t && !include_own_pivots) continue;
-        // One batched fold per foreign pivot block; `skip` reproduces
-        // the v == p guard without charging a test for it.
-        const kernels::BatchSubspaceResult fold =
-            kernels::DominatingSubspaceBatch(aligned, locals[o].pivots, row,
-                                             d, /*skip=*/p);
-        s.dominance_tests += fold.scanned;
-        if (fold.dominated_by != kernels::kNoDominator) {
-          return;  // a pivot dominates p
+    // Step 2: test each survivor against the earlier survivors of the
+    // block whose mask is a superset of its own. A candidate that step 2
+    // itself rejects is still a sound witness: whatever dominates it
+    // dominates the probing point too.
+    StatsAccumulator block_stats(UnitsFor(survivors.size()));
+    team.ForEachUnit(block_stats.num_slots(), [&](std::size_t unit) {
+      SkylineStats& s = block_stats.slot(unit);
+      const std::size_t last =
+          std::min(survivors.size(), (unit + 1) * kPointsPerUnit);
+      std::vector<PointId> candidates(last);
+      for (std::size_t j = unit * kPointsPerUnit; j < last; ++j) {
+        // Branch-free gather: every earlier survivor is written, and the
+        // cursor advances past the ones whose mask covers `need`.
+        const std::uint64_t need = survivor_bits[j];
+        std::size_t found = 0;
+        for (std::size_t e = 0; e < j; ++e) {
+          candidates[found] = survivor_ids[e];
+          found += (survivor_bits[e] & need) == need ? 1 : 0;
         }
-        gmask |= fold.mask;
+        const kernels::BatchProbeResult probe = kernels::DominatesAny(
+            aligned, std::span<const PointId>(candidates.data(), found),
+            aligned.row(survivor_ids[j]), d);
+        s.dominance_tests += probe.scanned;
+        dominated[survivors[j]] = probe.first != kernels::kNoDominator;
       }
-      out.members.push_back(p);
-      out.masks.push_back(gmask);
-      slices[t].Add(p, gmask);
-    };
+    });
+    total.Accumulate(block_stats.Combine());
 
-    for (PointId p : local.pivots) {
-      rebase(p, Subspace{}, /*include_own_pivots=*/true);
+    // Step 3: commit the accepted points in score order.
+    for (std::size_t k : survivors) {
+      if (dominated[k] != 0) continue;
+      result.push_back(ids[begin + k]);
+      index.Add(ids[begin + k], masks[begin + k]);
     }
-    for (std::size_t i = 0; i < local.accepted.size(); ++i) {
-      // The local mask already holds this partition's pivot
-      // contributions — only foreign pivots are left to fold in.
-      rebase(local.accepted[i], local.accepted_masks[i],
-             /*include_own_pivots=*/false);
-    }
-    rebase_stats.slot(t) = s;
-  });
-
-  // Splice the slices into one shared index (cheap: tree merge over the
-  // surviving skyline candidates only). Partition order keeps the tree
-  // — and thus every later query's candidate order — deterministic.
-  SubsetIndex global_index(d);
-  for (std::size_t t = 0; t < num_parts; ++t) {
-    global_index.MergeFrom(std::move(slices[t]));
-  }
-
-  // ---- Phase 3: parallel cross-filter against the shared index. ----
-  // Query is const and touches no mutable state, so all workers read
-  // the shared index concurrently without synchronization.
-  std::vector<std::vector<PointId>> surviving(num_parts);
-  StatsAccumulator cross_stats(num_parts);
-  ParallelForEachUnit(num_parts, workers, [&](std::size_t t) {
-    SkylineStats s;
-    std::vector<PointId> candidates;
-    const RebasedResult& mine = rebased[t];
-    for (std::size_t i = 0; i < mine.members.size(); ++i) {
-      const PointId p = mine.members[i];
-      candidates.clear();
-      global_index.Query(mine.masks[i], &candidates, &s.index_nodes_visited);
-      ++s.index_queries;
-      s.index_candidates += candidates.size();
-      const kernels::BatchProbeResult probe = kernels::DominatesAny(
-          aligned, candidates, aligned.row(p), d, /*skip=*/p);
-      s.dominance_tests += probe.scanned;
-      if (probe.first == kernels::kNoDominator) surviving[t].push_back(p);
-    }
-    cross_stats.slot(t) = s;
-  });
-
-  std::vector<PointId> result;
-  for (std::size_t t = 0; t < num_parts; ++t) {
-    result.insert(result.end(), surviving[t].begin(), surviving[t].end());
   }
 
   // Deep postcondition: skyline members are pairwise non-dominating.
   // Quadratic, so bounded — large inputs are covered by the differential
-  // tests; this catches cross-filter regressions on the small cases the
+  // tests; this catches block-scan regressions on the small cases the
   // fuzzers and unit tests feed through.
   if constexpr (kSkylineDeepChecks) {
     if (result.size() <= 512) {
@@ -250,9 +160,6 @@ std::vector<PointId> ParallelSubsetSfs::Compute(const Dataset& data,
   }
 
   if (stats != nullptr) {
-    SkylineStats total = local_stats.Combine();
-    total.Accumulate(rebase_stats.Combine());
-    total.Accumulate(cross_stats.Combine());
     total.skyline_size = result.size();
     *stats = total;
   }

@@ -1,40 +1,34 @@
 // Parallel subset-boosted skyline engine.
 //
-// Parallelizes the paper's subset approach with a partition +
-// cross-filter scheme in which *both* sides keep the reduced-dominance-
-// test guarantee of Lemma 5.1:
+// The paper's SFS-Subset (SfsSubset) with its scan run in parallel. One
+// Merge pass (Algorithm 1) yields the pivots — skyline points all — and
+// each survivor's maximum dominating subspace D_{q<S} against that one
+// pivot set S. The survivors are sorted in SfsSubset's monotone
+// (score, sum, id) order and scanned in fixed-size blocks, three steps
+// per block:
 //
-//  1. The score-sorted input is dealt round-robin into P deterministic
-//     partitions; each partition runs the Merge subspace-union pass
-//     (Algorithm 1) and a boosted SFS scan against a thread-local
-//     SubsetIndex, producing its local skyline (pivots + accepted
-//     points with masks relative to the partition's pivots).
-//  2. The local masks are re-based onto the union of all partitions'
-//     pivots: for a local skyline point p, D_{p<S_glob} is the union of
-//     its local mask and D_{p<v} over every foreign pivot v. A foreign
-//     pivot that weakly dominates p eliminates it on the spot. Lemma
-//     5.1 needs a reference set shared by the stored and the querying
-//     point — re-basing to the global pivot union is what makes one
-//     shared index sound.
-//  3. The re-based per-partition indexes are spliced into one global
-//     SubsetIndex (SubsetIndex::MergeFrom), and every surviving local
-//     skyline point is cross-filtered against it in parallel: a query
-//     with the point's global mask returns exactly the stored points
-//     whose mask is a superset — by Lemma 5.1 the only possible
-//     dominators — instead of all other partitions' local skylines.
+//  1. Every point of the block probes the SubsetIndex as it was
+//     committed at the block's start, in parallel and read-only, and
+//     is tested against the stored points whose mask is a superset of
+//     its own — by Lemma 5.1 the only ones that can dominate it.
+//  2. Each survivor of that probe is tested, also in parallel, against
+//     the earlier survivors of its block whose mask is a superset of
+//     its own.
+//  3. One thread commits the accepted points to the index in score
+//     order.
 //
-// Completeness of the cross-filter is the standard transitivity
-// argument, with one twist for the eliminated points: if z dominates p,
-// the local skyline of z's partition holds a weak dominator s of z (so
-// s dominates p). If s itself was eliminated in step 2, its eliminating
-// pivot dominates p too, and elimination chains strictly decrease the
-// monotone Merge score, so they terminate at a stored point — which the
-// index query then returns. See docs/algorithms.md.
+// Every mask is taken against the same pivot set, so Lemma 5.1 holds
+// for both probes; pivots stay out of the index because Merge already
+// showed that no pivot weakly dominates a survivor. A dominated point
+// always meets a skyline dominator that precedes it in the order: in
+// the index if it was committed by an earlier block, among the earlier
+// survivors of step 2 otherwise. See docs/algorithms.md.
 //
-// Results and every SkylineStats counter are deterministic for any
-// thread count: the partition count depends only on the input size, all
-// partition-local work is scheduling-independent, and counters are
-// folded in partition order (StatsAccumulator).
+// The accepted set and its order are SfsSubset's, so the result vector
+// is the same as SfsSubset's. The blocks depend only on the input, so
+// the result and every SkylineStats counter are the same for any thread
+// count. The dominance tests are SfsSubset's minus the pivot re-tests,
+// plus the step-2 tests against block survivors that step 2 rejects.
 #ifndef SKYLINE_PARALLEL_PARALLEL_SUBSET_H_
 #define SKYLINE_PARALLEL_PARALLEL_SUBSET_H_
 
@@ -42,18 +36,21 @@
 
 namespace skyline {
 
-/// Multi-threaded subset-boosted skyline (parallel Merge pass + shared
-/// subset-index cross-filter).
+/// Multi-threaded subset-boosted skyline (one Merge pass, then a
+/// block-parallel SFS-Subset scan).
 class ParallelSubsetSfs final : public SkylineAlgorithm {
  public:
+  /// Survivors per block of the scan.
+  static constexpr std::size_t kDefaultBlockSize = 2048;
+
   /// `threads` = 0 picks std::thread::hardware_concurrency();
-  /// `partitions` = 0 picks DeterministicPartitionCount(n). Overriding
-  /// `partitions` changes the work decomposition (and thus the
-  /// counters); overriding `threads` never does.
+  /// `block_size` = 0 picks kDefaultBlockSize. Overriding `block_size`
+  /// (a test hook) changes the work decomposition and thus the
+  /// counters, never the result; overriding `threads` changes neither.
   explicit ParallelSubsetSfs(unsigned threads = 0,
                              const AlgorithmOptions& options = {},
-                             std::size_t partitions = 0)
-      : threads_(threads), partitions_(partitions), options_(options) {}
+                             std::size_t block_size = 0)
+      : threads_(threads), block_size_(block_size), options_(options) {}
 
   std::string_view name() const override { return "parallel-subset-sfs"; }
 
@@ -64,7 +61,7 @@ class ParallelSubsetSfs final : public SkylineAlgorithm {
 
  private:
   unsigned threads_;
-  std::size_t partitions_;
+  std::size_t block_size_;
   AlgorithmOptions options_;
 };
 

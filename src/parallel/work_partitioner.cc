@@ -30,18 +30,90 @@ unsigned EffectiveWorkers(unsigned requested, std::size_t num_units) {
   return workers;
 }
 
-void ParallelForEachUnit(std::size_t num_units, unsigned workers,
-                         const std::function<void(std::size_t)>& fn) {
+namespace {
+
+std::atomic<std::uint64_t> g_threads_started{0};
+
+}  // namespace
+
+WorkerTeam::WorkerTeam(unsigned workers) {
+  const unsigned spawn = std::max(1u, workers) - 1;
+  threads_.reserve(spawn);
+  try {
+    for (unsigned t = 0; t < spawn; ++t) {
+      threads_.emplace_back([this] { WorkerLoop(); });
+      g_threads_started.fetch_add(1, std::memory_order_relaxed);
+    }
+  } catch (...) {
+    Stop();
+    throw;
+  }
+}
+
+WorkerTeam::~WorkerTeam() { Stop(); }
+
+std::uint64_t WorkerTeam::threads_started() {
+  return g_threads_started.load(std::memory_order_relaxed);
+}
+
+void WorkerTeam::Stop() {
+  {
+    MutexLock lock(mu_);
+    stopping_ = true;
+  }
+  phase_start_.NotifyAll();
+  for (std::thread& thread : threads_) thread.join();
+  threads_.clear();
+}
+
+void WorkerTeam::WorkerLoop() {
+  std::uint64_t seen = 0;
+  for (;;) {
+    const std::function<void(std::size_t)>* fn = nullptr;
+    std::size_t num_units = 0;
+    {
+      MutexLock lock(mu_);
+      while (!stopping_ && phase_ == seen) phase_start_.Wait(lock);
+      if (stopping_) return;
+      seen = phase_;
+      fn = fn_;
+      num_units = num_units_;
+    }
+    RunUnits(*fn, num_units);
+    MutexLock lock(mu_);
+    if (--busy_ == 0) phase_done_.NotifyOne();
+  }
+}
+
+void WorkerTeam::RunUnits(const std::function<void(std::size_t)>& fn,
+                          std::size_t num_units) {
+  for (std::size_t unit = cursor_.fetch_add(1, std::memory_order_relaxed);
+       unit < num_units && !aborted_.load(std::memory_order_relaxed);
+       unit = cursor_.fetch_add(1, std::memory_order_relaxed)) {
+    try {
+      fn(unit);
+    } catch (...) {
+      // A unit that throws would std::terminate inside std::thread; the
+      // member parks the first exception for the owner instead and the
+      // team stops claiming units.
+      MutexLock lock(mu_);
+      if (first_error_ == nullptr) first_error_ = std::current_exception();
+      aborted_.store(true, std::memory_order_relaxed);
+    }
+  }
+}
+
+void WorkerTeam::ForEachUnit(std::size_t num_units,
+                             const std::function<void(std::size_t)>& fn) {
   if (num_units == 0) return;
-  workers = EffectiveWorkers(workers, num_units);
 
   // Determinism contract: every unit in [0, num_units) runs exactly once,
-  // regardless of worker count or scheduling. The shared-cursor claim
-  // makes this true by construction; the deep check re-verifies it so a
-  // future scheduling change cannot silently drop or repeat a unit.
+  // regardless of team size or scheduling. The shared-cursor claim makes
+  // this true by construction; the deep check re-verifies it so a future
+  // scheduling change cannot silently drop or repeat a unit.
 #ifdef SKYLINE_CHECKS
   std::vector<std::atomic<std::uint32_t>> runs(num_units);
-  const auto run_unit = [&](std::size_t unit) {
+  const std::function<void(std::size_t)> run_unit = [&](std::size_t unit) {
     runs[unit].fetch_add(1, std::memory_order_relaxed);
     fn(unit);
   };
@@ -49,81 +121,43 @@ void ParallelForEachUnit(std::size_t num_units, unsigned workers,
   const auto& run_unit = fn;
 #endif
 
-  if (workers == 1) {
+  if (threads_.empty()) {
     for (std::size_t unit = 0; unit < num_units; ++unit) run_unit(unit);
   } else {
-    std::atomic<std::size_t> cursor{0};
-    // A unit that throws would std::terminate inside std::thread; to
-    // give the parallel engines the same exception semantics as the
-    // inline path, workers park the first exception here (Mutex — the
-    // slow path runs at most once per worker) and stop claiming units.
-    Mutex error_mu;
-    std::exception_ptr first_error;  // guarded by error_mu until join
-    std::atomic<bool> aborted{false};
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) {
-      threads.emplace_back([&] {
-        for (std::size_t unit = cursor.fetch_add(1, std::memory_order_relaxed);
-             unit < num_units && !aborted.load(std::memory_order_relaxed);
-             unit = cursor.fetch_add(1, std::memory_order_relaxed)) {
-          try {
-            run_unit(unit);
-          } catch (...) {
-            MutexLock lock(error_mu);
-            if (first_error == nullptr) {
-              first_error = std::current_exception();
-            }
-            aborted.store(true, std::memory_order_relaxed);
-          }
-        }
-      });
+    {
+      MutexLock lock(mu_);
+      fn_ = &run_unit;
+      num_units_ = num_units;
+      busy_ = static_cast<unsigned>(threads_.size());
+      cursor_.store(0, std::memory_order_relaxed);
+      aborted_.store(false, std::memory_order_relaxed);
+      ++phase_;
     }
-    for (std::thread& thread : threads) thread.join();
-    // The join above happens-after every worker's store, so the read
-    // needs no lock — but holding it keeps the discipline checkable.
-    MutexLock lock(error_mu);
-    if (first_error != nullptr) std::rethrow_exception(first_error);
+    phase_start_.NotifyAll();
+    RunUnits(run_unit, num_units);
+    MutexLock lock(mu_);
+    while (busy_ > 0) phase_done_.Wait(lock);
+    fn_ = nullptr;
+    if (first_error_ != nullptr) {
+      std::exception_ptr error = std::move(first_error_);
+      first_error_ = nullptr;
+      std::rethrow_exception(error);
+    }
   }
 
 #ifdef SKYLINE_CHECKS
   for (std::size_t unit = 0; unit < num_units; ++unit) {
     SKYLINE_DCHECK(runs[unit].load(std::memory_order_relaxed) == 1,
-                   "ParallelForEachUnit: unit not executed exactly once");
+                   "WorkerTeam: unit not executed exactly once");
   }
 #endif
 }
 
-std::vector<std::vector<PointId>> DealRoundRobin(std::span<const PointId> ids,
-                                                 std::size_t num_partitions) {
-  std::vector<std::vector<PointId>> buckets(num_partitions);
-  if (num_partitions == 0) return buckets;
-  for (std::vector<PointId>& bucket : buckets) {
-    bucket.reserve(ids.size() / num_partitions + 1);
-  }
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    buckets[i % num_partitions].push_back(ids[i]);
-  }
-
-  // Deal coverage: bucket t holds exactly ids[t], ids[t+P], ... — sizes
-  // balanced within one, nothing dropped or duplicated.
-  if constexpr (kSkylineDeepChecks) {
-    std::size_t total = 0;
-    for (std::size_t t = 0; t < num_partitions; ++t) {
-      const std::size_t expect =
-          ids.size() / num_partitions + (t < ids.size() % num_partitions);
-      SKYLINE_DCHECK(buckets[t].size() == expect,
-                     "DealRoundRobin: bucket size not balanced within one");
-      for (std::size_t k = 0; k < buckets[t].size(); ++k) {
-        SKYLINE_DCHECK(buckets[t][k] == ids[t + k * num_partitions],
-                       "DealRoundRobin: bucket breaks the round-robin order");
-      }
-      total += buckets[t].size();
-    }
-    SKYLINE_DCHECK(total == ids.size(),
-                   "DealRoundRobin: buckets do not partition the input");
-  }
-  return buckets;
+void ParallelForEachUnit(std::size_t num_units, unsigned workers,
+                         const std::function<void(std::size_t)>& fn) {
+  if (num_units == 0) return;
+  WorkerTeam team(EffectiveWorkers(workers, num_units));
+  team.ForEachUnit(num_units, fn);
 }
 
 }  // namespace skyline

@@ -20,8 +20,8 @@
 //     version's distinct_dims() (no two rows share a value there, so a
 //     row ties on V only with itself and the core is the answer).
 //   * Cold miss: no cached ancestor — the subset-boosted engine
-//     (sfs-subset, or the parallel partition + cross-filter engine
-//     beyond `parallel_cold_threshold` rows) computes the cuboid on the
+//     (sfs-subset, or its block-parallel scan, parallel-subset-sfs,
+//     from `parallel_cold_threshold` rows on) computes the cuboid on the
 //     projected dataset.
 //
 // Mutation (epochs): ApplyUpdate(inserts, removes) installs a new

@@ -193,6 +193,37 @@ MergeResult MergeSubspacesOver(const Dataset& data,
   return out;
 }
 
+void SortSurvivorsByScore(const Dataset& data, ScoreFunction f,
+                          MergeResult* merge) {
+  const Dim d = data.num_dims();
+  struct Key {
+    Value score;
+    Value sum;
+    PointId id;
+    Subspace mask;
+  };
+  std::vector<Key> keys(merge->remaining.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const PointId id = merge->remaining[i];
+    const Value* row = data.row(id);
+    // The sum breaks score ties; when f is the sum it could break none,
+    // so it stays 0.
+    const Value sum = f == ScoreFunction::kSum
+                          ? Value{0}
+                          : ScorePoint(row, d, ScoreFunction::kSum);
+    keys[i] = {ScorePoint(row, d, f), sum, id, merge->subspaces[i]};
+  }
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.score != b.score) return a.score < b.score;
+    if (a.sum != b.sum) return a.sum < b.sum;
+    return a.id < b.id;
+  });
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    merge->remaining[i] = keys[i].id;
+    merge->subspaces[i] = keys[i].mask;
+  }
+}
+
 MergeResult MergeSubspaces(const Dataset& data, int sigma) {
   std::vector<PointId> ids(data.num_points());
   std::iota(ids.begin(), ids.end(), PointId{0});

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/core/dataset.h"
+#include "src/core/scores.h"
 #include "src/core/subspace.h"
 #include "src/core/types.h"
 
@@ -57,11 +58,18 @@ MergeResult MergeSubspaces(const Dataset& data, int sigma);
 
 /// Algorithm 1 restricted to the points in `ids` (each id < num_points,
 /// no duplicates): pivots, survivors and subspaces refer only to those
-/// points, and the score anchor is the minima corner of the subset. This
-/// is the per-partition building block of the parallel subset engine;
+/// points, and the score anchor is the minima corner of the subset.
 /// `MergeSubspaces` is the full-span special case.
 MergeResult MergeSubspacesOver(const Dataset& data,
                                std::span<const PointId> ids, int sigma);
+
+/// Reorders the survivors of `merge` (`remaining`, with `subspaces`
+/// alongside) ascending by (f, sum, id): the monotone order SFS-Subset
+/// scans them in, in which every dominator precedes the points it
+/// dominates. One helper, so the sequential and the parallel scans
+/// cannot drift apart.
+void SortSurvivorsByScore(const Dataset& data, ScoreFunction f,
+                          MergeResult* merge);
 
 }  // namespace skyline
 

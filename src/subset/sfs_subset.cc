@@ -1,7 +1,4 @@
-#include <algorithm>
-
 #include "src/core/dominance.h"
-#include "src/core/scores.h"
 #include "src/subset/boosted.h"
 #include "src/subset/merge.h"
 #include "src/subset/subset_index.h"
@@ -23,24 +20,12 @@ std::vector<PointId> SfsSubset::Compute(const Dataset& data,
   std::vector<PointId> result = merge.pivots;
 
   // Phase 2: SFS over the surviving points, in monotone score order.
-  const std::vector<Value> scores = ComputeScores(data, options_.sort);
-  const std::vector<Value> sums =
-      options_.sort == ScoreFunction::kSum
-          ? std::vector<Value>{}
-          : ComputeScores(data, ScoreFunction::kSum);
-  std::vector<std::size_t> order(merge.remaining.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const PointId pa = merge.remaining[a], pb = merge.remaining[b];
-    if (scores[pa] != scores[pb]) return scores[pa] < scores[pb];
-    if (!sums.empty() && sums[pa] != sums[pb]) return sums[pa] < sums[pb];
-    return pa < pb;
-  });
+  SortSurvivorsByScore(data, options_.sort, &merge);
 
   DominanceTester tester(data);
   SkylineStats local;
   std::vector<PointId> candidates;
-  for (std::size_t i : order) {
+  for (std::size_t i = 0; i < merge.remaining.size(); ++i) {
     const PointId q = merge.remaining[i];
     const Subspace mask = merge.subspaces[i];
     // Lemma 5.1: only skyline points whose subspace is a superset of

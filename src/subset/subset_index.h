@@ -20,8 +20,8 @@
 //
 // Thread safety: the const members (Query, QueryContained, num_*) touch
 // no mutable state, so any number of threads may query one index
-// concurrently as long as no thread mutates it — the parallel engines
-// rely on this for the shared cross-filter index. Mutations (Add,
+// concurrently as long as no thread mutates it — the parallel subset
+// engine relies on this for its block probes. Mutations (Add,
 // Remove, MergeFrom) require exclusive access.
 #ifndef SKYLINE_SUBSET_SUBSET_INDEX_H_
 #define SKYLINE_SUBSET_SUBSET_INDEX_H_
@@ -92,8 +92,7 @@ class SubsetIndex {
   /// index, leaving `other` empty. Equivalent to replaying every Add of
   /// `other` on this index, in tree order; shared paths are reused, so
   /// merging T thread-local indexes costs O(total nodes), not O(total
-  /// adds). Used by the parallel engines to combine per-partition
-  /// indexes before the shared cross-filter phase.
+  /// adds).
   void MergeFrom(SubsetIndex&& other);
 
   Dim num_dims() const { return num_dims_; }

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "src/algo/registry.h"
 #include "src/data/generator.h"
 #include "src/parallel/parallel_skyline.h"
 #include "src/parallel/parallel_subset.h"
@@ -32,34 +31,44 @@ class ParallelDeterminismTest
 
 TEST_P(ParallelDeterminismTest, IdenticalAcrossThreadCountsAndRuns) {
   const std::string& name = GetParam();
+  // parallel-subset-sfs also runs with 64-point blocks, so that its scan
+  // spans many blocks (one default-size block holds all survivors here).
+  const std::vector<std::size_t> block_sizes =
+      name == "parallel-sfs" ? std::vector<std::size_t>{0}
+                             : std::vector<std::size_t>{0, 64};
   for (DataType type : {DataType::kAntiCorrelated, DataType::kCorrelated,
                         DataType::kUniformIndependent}) {
     Dataset data = Generate(type, 2000, 6, 4);
-
-    // Reference: single-threaded run.
-    auto reference_algo = MakeAlgorithm(name);
-    ASSERT_NE(reference_algo, nullptr);
-    SkylineStats reference_stats;
-    const std::vector<PointId> reference =
-        reference_algo->Compute(data, &reference_stats);
-
-    for (unsigned threads : {1u, 2u, 8u}) {
-      for (int run = 0; run < 3; ++run) {
-        const std::string context = name + " " +
-                                    std::string(ShortName(type)) +
-                                    " threads=" + std::to_string(threads) +
-                                    " run=" + std::to_string(run);
-        SkylineStats stats;
-        std::vector<PointId> result;
+    for (std::size_t block_size : block_sizes) {
+      auto run = [&](unsigned threads, SkylineStats* stats) {
         if (name == "parallel-sfs") {
-          result = ParallelSfs(threads).Compute(data, &stats);
-        } else {
-          result = ParallelSubsetSfs(threads).Compute(data, &stats);
+          return ParallelSfs(threads).Compute(data, stats);
         }
-        // Not just the same id set: the exact same vector — partition
-        // order fully determines the output order.
-        EXPECT_EQ(result, reference) << context;
-        ExpectSameStats(stats, reference_stats, context);
+        return ParallelSubsetSfs(threads, {}, block_size).Compute(data, stats);
+      };
+
+      // Reference: a run at the default (hardware) thread count.
+      SkylineStats reference_stats;
+      const std::vector<PointId> reference = run(0, &reference_stats);
+      if (block_size != 0 && type != DataType::kCorrelated) {
+        // One index probe per Merge survivor: many blocks' worth.
+        EXPECT_GT(reference_stats.index_queries, 4 * block_size);
+      }
+
+      for (unsigned threads : {1u, 2u, 8u}) {
+        for (int run_index = 0; run_index < 3; ++run_index) {
+          const std::string context =
+              name + " " + std::string(ShortName(type)) +
+              " block_size=" + std::to_string(block_size) +
+              " threads=" + std::to_string(threads) +
+              " run=" + std::to_string(run_index);
+          SkylineStats stats;
+          const std::vector<PointId> result = run(threads, &stats);
+          // Not just the same id set: the exact same vector — the work
+          // decomposition fully determines the output order.
+          EXPECT_EQ(result, reference) << context;
+          ExpectSameStats(stats, reference_stats, context);
+        }
       }
     }
   }

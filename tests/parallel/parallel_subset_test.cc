@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "src/core/verify.h"
 #include "src/data/generator.h"
+#include "src/parallel/work_partitioner.h"
 #include "src/subset/boosted.h"
 
 namespace skyline {
@@ -32,17 +35,19 @@ TEST_P(ParallelSubsetThreadCountTest, CorrectForAnyThreadCount) {
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelSubsetThreadCountTest,
                          ::testing::Values(0u, 1u, 2u, 3u, 7u, 16u));
 
+// The parameter is the block-size override (the suite predates the
+// block scan, when the same constructor argument set a partition count).
 class ParallelSubsetPartitionCountTest
     : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ParallelSubsetPartitionCountTest, CorrectForAnyPartitionCount) {
-  const std::size_t partitions = GetParam();
+  const std::size_t block_size = GetParam();
   for (DataType type : {DataType::kAntiCorrelated, DataType::kCorrelated,
                         DataType::kUniformIndependent}) {
     Dataset data = Generate(type, 700, 6, 23);
-    ParallelSubsetSfs algo(4, {}, partitions);
+    ParallelSubsetSfs algo(4, {}, block_size);
     EXPECT_TRUE(IsSkylineOf(data, algo.Compute(data)))
-        << ShortName(type) << " partitions=" << partitions;
+        << ShortName(type) << " block_size=" << block_size;
   }
 }
 
@@ -50,18 +55,52 @@ INSTANTIATE_TEST_SUITE_P(Partitions, ParallelSubsetPartitionCountTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 32u, 64u));
 
 TEST(ParallelSubsetSfsTest, MatchesSequentialSubsetSfs) {
+  // Same Merge pass, same scan order, same accepted set: the very same
+  // result vector, in one block or in many.
   for (DataType type : {DataType::kAntiCorrelated, DataType::kCorrelated,
                         DataType::kUniformIndependent}) {
     Dataset data = Generate(type, 1500, 7, 11);
-    EXPECT_TRUE(SameIdSet(ParallelSubsetSfs(4).Compute(data),
-                          SfsSubset().Compute(data)))
-        << ShortName(type);
+    const std::vector<PointId> sequential = SfsSubset().Compute(data);
+    for (std::size_t block_size : {std::size_t{0}, std::size_t{16}}) {
+      EXPECT_EQ(ParallelSubsetSfs(4, {}, block_size).Compute(data), sequential)
+          << ShortName(type) << " block_size=" << block_size;
+    }
   }
+}
+
+TEST(ParallelSubsetSfsTest, DominanceTestsWithinBoundOfSfsSubset) {
+  // ROADMAP item 2's gate: the block scan spends at most 1.2x the
+  // sequential engine's dominance tests.
+  for (DataType type : {DataType::kUniformIndependent, DataType::kCorrelated,
+                        DataType::kAntiCorrelated}) {
+    Dataset data = Generate(type, 4000, 8, 42);
+    SkylineStats seq;
+    SfsSubset().Compute(data, &seq);
+    for (std::size_t block_size : {std::size_t{0}, std::size_t{64}}) {
+      SkylineStats par;
+      ParallelSubsetSfs(2, {}, block_size).Compute(data, &par);
+      EXPECT_LE(static_cast<double>(par.dominance_tests),
+                1.2 * static_cast<double>(seq.dominance_tests))
+          << ShortName(type) << " block_size=" << block_size;
+    }
+  }
+}
+
+TEST(ParallelSubsetSfsTest, OneThreadTeamPerCompute) {
+  // Thousands of survivors at block size 256 make dozens of parallel
+  // steps, each with work for all 4 threads; the engine still starts
+  // its threads once, not per step.
+  Dataset data = Generate(DataType::kAntiCorrelated, 4000, 8, 42);
+  SkylineStats stats;
+  const std::uint64_t before = WorkerTeam::threads_started();
+  ParallelSubsetSfs(4, {}, 256).Compute(data, &stats);
+  EXPECT_GT(stats.index_queries, 10u * 256u);  // one probe per survivor
+  EXPECT_EQ(WorkerTeam::threads_started() - before, 3u);
 }
 
 TEST(ParallelSubsetSfsTest, TinyInputs) {
   Dataset data = Dataset::FromRows({{1, 2}, {2, 1}, {3, 3}});
-  ParallelSubsetSfs algo(64, {}, 8);  // more threads/partitions than points
+  ParallelSubsetSfs algo(64, {}, 8);  // more threads and block than points
   EXPECT_TRUE(SameIdSet(algo.Compute(data), {0, 1}));
   Dataset empty(2);
   EXPECT_TRUE(algo.Compute(empty).empty());
@@ -70,8 +109,8 @@ TEST(ParallelSubsetSfsTest, TinyInputs) {
 }
 
 TEST(ParallelSubsetSfsTest, DuplicatesAcrossPartitions) {
-  // Duplicate skyline points land in different round-robin partitions
-  // and must both survive the cross-filter (they are both skyline).
+  // Duplicate skyline points land in the same and in different blocks
+  // and must all survive both probes (an equal point never dominates).
   std::vector<std::vector<Value>> rows;
   for (int i = 0; i < 40; ++i) {
     rows.push_back({1.0, 5.0});  // duplicates of one skyline point
@@ -96,9 +135,9 @@ TEST(ParallelSubsetSfsTest, StatsAreFilled) {
 }
 
 TEST(ParallelSubsetSfsTest, SinglePartitionDoesFewerTestsThanSfsSubset) {
-  // With one partition there is no cross-filter work to speak of, and
-  // skipping the redundant pivot re-tests makes the engine strictly
-  // cheaper than the sequential SfsSubset in dominance tests.
+  // With blocks of one point the scan is SfsSubset's, test for test,
+  // except that the engine skips the pivot re-tests: never more
+  // dominance tests than the sequential SfsSubset.
   Dataset data = Generate(DataType::kUniformIndependent, 2000, 8, 5);
   SkylineStats par, seq;
   ParallelSubsetSfs(1, {}, 1).Compute(data, &par);

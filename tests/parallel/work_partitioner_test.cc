@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <cstdint>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 namespace skyline {
 namespace {
@@ -48,32 +51,79 @@ TEST(WorkPartitionerTest, ZeroUnitsIsANoOp) {
   EXPECT_FALSE(called);
 }
 
-TEST(WorkPartitionerTest, DealRoundRobinPreservesOrderAndBalance) {
-  std::vector<PointId> ids(17);
-  std::iota(ids.begin(), ids.end(), PointId{0});
-  auto buckets = DealRoundRobin(ids, 4);
-  ASSERT_EQ(buckets.size(), 4u);
-  // Sizes differ by at most one; every id appears exactly once.
-  std::size_t total = 0;
-  for (const auto& b : buckets) {
-    EXPECT_GE(b.size(), 4u);
-    EXPECT_LE(b.size(), 5u);
-    total += b.size();
-    // Order within a bucket follows the input order.
-    for (std::size_t i = 1; i < b.size(); ++i) EXPECT_LT(b[i - 1], b[i]);
+TEST(WorkPartitionerTest, ThrowingUnitIsRethrownOnTheCallingThread) {
+  for (unsigned workers : {1u, 4u}) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(ParallelForEachUnit(64, workers,
+                                     [&](std::size_t u) {
+                                       ran.fetch_add(1);
+                                       if (u == 5) {
+                                         throw std::runtime_error("unit 5");
+                                       }
+                                     }),
+                 std::runtime_error)
+        << "workers " << workers;
+    EXPECT_GE(ran.load(), 1);
   }
-  EXPECT_EQ(total, ids.size());
-  EXPECT_EQ(buckets[1][0], 1u);
-  EXPECT_EQ(buckets[1][1], 5u);
 }
 
-TEST(WorkPartitionerTest, DealMoreBucketsThanIdsLeavesEmpties) {
-  std::vector<PointId> ids = {0, 1};
-  auto buckets = DealRoundRobin(ids, 5);
-  ASSERT_EQ(buckets.size(), 5u);
-  EXPECT_EQ(buckets[0], (std::vector<PointId>{0}));
-  EXPECT_EQ(buckets[1], (std::vector<PointId>{1}));
-  for (std::size_t t = 2; t < 5; ++t) EXPECT_TRUE(buckets[t].empty());
+TEST(WorkerTeamTest, ReusesItsThreadsAcrossPhases) {
+  const std::uint64_t before = WorkerTeam::threads_started();
+  WorkerTeam team(4);
+  EXPECT_EQ(WorkerTeam::threads_started() - before, 3u);  // plus the owner
+  std::vector<int> hits(50, 0);
+  for (int phase = 0; phase < 20; ++phase) {
+    team.ForEachUnit(hits.size(), [&](std::size_t u) { ++hits[u]; });
+  }
+  for (int h : hits) EXPECT_EQ(h, 20);
+  // No phase started a thread of its own.
+  EXPECT_EQ(WorkerTeam::threads_started() - before, 3u);
+}
+
+TEST(WorkerTeamTest, PhaseSeesTheOwnersWritesAndOwnerSeesThePhases) {
+  // Alternating serial and parallel steps, the shape of a block scan:
+  // each phase reads the value the owner wrote just before it, and the
+  // owner reads every unit's slot right after it.
+  WorkerTeam team(3);
+  std::vector<long> slots(40, 0);
+  long value = 0;
+  for (int phase = 1; phase <= 30; ++phase) {
+    value = phase;
+    team.ForEachUnit(slots.size(),
+                     [&](std::size_t u) { slots[u] = value * 100 + long(u); });
+    for (std::size_t u = 0; u < slots.size(); ++u) {
+      ASSERT_EQ(slots[u], phase * 100 + long(u)) << "phase " << phase;
+    }
+  }
+}
+
+TEST(WorkerTeamTest, ThrowingUnitIsRethrownAndTheTeamStaysUsable) {
+  WorkerTeam team(4);
+  EXPECT_THROW(team.ForEachUnit(100,
+                                [](std::size_t u) {
+                                  if (u % 7 == 3) {
+                                    throw std::runtime_error("unit");
+                                  }
+                                }),
+               std::runtime_error);
+  std::vector<std::atomic<int>> hits(100);
+  team.ForEachUnit(hits.size(), [&](std::size_t u) { hits[u].fetch_add(1); });
+  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(WorkerTeamTest, SingleMemberRunsInlineAndZeroUnitsIsANoOp) {
+  const std::uint64_t before = WorkerTeam::threads_started();
+  WorkerTeam team(0);
+  const std::thread::id owner = std::this_thread::get_id();
+  bool inline_only = true;
+  team.ForEachUnit(10, [&](std::size_t) {
+    inline_only = inline_only && std::this_thread::get_id() == owner;
+  });
+  EXPECT_TRUE(inline_only);
+  bool called = false;
+  team.ForEachUnit(0, [&](std::size_t) { called = true; });
+  EXPECT_FALSE(called);
+  EXPECT_EQ(WorkerTeam::threads_started(), before);
 }
 
 }  // namespace

@@ -176,6 +176,59 @@ TEST(QueryUpdateTest, RemovedPinnedSeedMemberIsRecomputedEagerly) {
   ExpectAllCuboidsMatchOracle(service);
 }
 
+TEST(QueryUpdateTest, ParallelColdPathMatchesSequentialAtAnyThreadCount) {
+  // parallel_cold_threshold = 1 sends every cold compute to the parallel
+  // engine: the pinned setup, an unpinned cold query, and the pinned
+  // recompute after a full-space skyline member is removed. Each must
+  // answer as a service that never reaches the threshold does, and the
+  // dominance tests charged must not depend on the thread count.
+  const Dataset data = Generate(DataType::kAntiCorrelated, 3000, 6, 46);
+  const Subspace full = Subspace::Full(6);
+  const Subspace v{0, 2, 3};
+
+  QueryServiceOptions sequential;
+  sequential.parallel_cold_threshold = data.num_points() + 1;
+  QueryService pinned_reference(data, sequential);
+  const std::vector<PointId> sky = pinned_reference.Query(full);
+  ASSERT_FALSE(sky.empty());
+  const std::vector<PointId> removes{sky.front()};
+  pinned_reference.ApplyUpdate({}, removes);
+  const std::vector<PointId> recomputed = pinned_reference.Query(full);
+  sequential.pin_full_space = false;
+  QueryService unpinned_reference(data, sequential);
+  const std::vector<PointId> cold = unpinned_reference.Query(v);
+
+  std::vector<std::uint64_t> setup_tests, cold_tests, update_tests;
+  for (unsigned threads : {1u, 2u, 4u}) {
+    QueryServiceOptions options;
+    options.parallel_cold_threshold = 1;
+    options.threads = threads;
+    QueryService pinned(data, options);
+    EXPECT_EQ(pinned.Query(full), sky) << "threads=" << threads;
+    pinned.ApplyUpdate({}, removes);
+    EXPECT_EQ(pinned.Query(full), recomputed) << "threads=" << threads;
+    EXPECT_EQ(pinned.Stats().pinned_recomputes, 1u);
+
+    options.pin_full_space = false;
+    QueryService unpinned(data, options);
+    EXPECT_EQ(unpinned.Query(v), cold) << "threads=" << threads;
+    EXPECT_EQ(unpinned.Stats().cold, 1u);
+
+    setup_tests.push_back(pinned.Stats().cold_tests);
+    update_tests.push_back(pinned.Stats().update_tests);
+    cold_tests.push_back(unpinned.Stats().cold_tests);
+  }
+  for (std::size_t t = 1; t < setup_tests.size(); ++t) {
+    EXPECT_EQ(setup_tests[t], setup_tests[0]);
+    EXPECT_EQ(update_tests[t], update_tests[0]);
+    EXPECT_EQ(cold_tests[t], cold_tests[0]);
+  }
+  // The parallel engine ran: it skips SfsSubset's pivot re-tests.
+  EXPECT_LT(setup_tests[0], pinned_reference.Stats().cold_tests);
+  EXPECT_LT(update_tests[0], pinned_reference.Stats().update_tests);
+  EXPECT_LT(cold_tests[0], unpinned_reference.Stats().cold_tests);
+}
+
 TEST(QueryUpdateTest, InsertThatRepeatsAValueReenablesTheTieScan) {
   // UI values are distinct in every dimension, so seeded misses skip the
   // tie scan. The inserted row repeats the dimension-0 minimum and is

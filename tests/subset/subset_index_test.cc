@@ -149,8 +149,7 @@ TEST(SubsetIndexTest, MergeFromLeavesSourceEmptyAndReusable) {
 }
 
 // Property test: merging T indexes answers queries exactly like one
-// index that received every Add — the invariant the parallel engine's
-// shared cross-filter index is built on.
+// index that received every Add — the invariant MergeFrom promises.
 class SubsetIndexMergePropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SubsetIndexMergePropertyTest, MergedEqualsSingleIndex) {
