@@ -27,9 +27,6 @@ struct AlgorithmOptions {
   /// Recursion cutoff of the D&C and BSkyTree-P algorithms: regions at or
   /// below this size are solved with a block nested loop.
   std::size_t partition_leaf_size = 32;
-
-  /// Capacity of the LESS elimination-filter window.
-  std::size_t less_filter_size = 16;
 };
 
 /// A skyline algorithm: consumes a Dataset, returns the ids of all

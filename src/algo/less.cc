@@ -9,6 +9,9 @@ namespace skyline {
 
 namespace {
 
+/// Capacity of the elimination-filter window.
+constexpr std::size_t kFilterSize = 16;
+
 /// Bounded elimination filter: keeps up to `capacity` of the best-scored
 /// (hence hard-to-dominate) points seen so far.
 class EliminationFilter {
@@ -49,8 +52,7 @@ std::vector<PointId> Less::Compute(const Dataset& data,
   std::vector<Value> scores = ComputeScores(data, options_.sort);
 
   // Pass 0: elimination-filter scan in input order.
-  EliminationFilter filter(std::max<std::size_t>(1, options_.less_filter_size),
-                           scores);
+  EliminationFilter filter(kFilterSize, scores);
   std::vector<PointId> survivors;
   survivors.reserve(n);
   for (PointId p = 0; p < n; ++p) {

@@ -14,8 +14,7 @@
 
 namespace skyline {
 
-/// In-memory LESS with a bounded elimination-filter window
-/// (options.less_filter_size entries, default 16).
+/// In-memory LESS with a 16-entry elimination-filter window.
 class Less final : public SkylineAlgorithm {
  public:
   explicit Less(const AlgorithmOptions& options = {}) : options_(options) {}

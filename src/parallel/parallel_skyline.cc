@@ -54,9 +54,10 @@ std::vector<PointId> ParallelSfs::Compute(const Dataset& data,
   const std::vector<Value> scores = ComputeScores(data, options_.sort);
 
   // Phase 1: local skylines of contiguous partitions, in parallel.
+  WorkerTeam team(workers);
   std::vector<std::vector<PointId>> local(num_parts);
   StatsAccumulator local_stats(num_parts);
-  ParallelForEachUnit(num_parts, workers, [&](std::size_t t) {
+  team.ForEachUnit(num_parts, [&](std::size_t t) {
     const std::size_t lo = n * t / num_parts;
     const std::size_t hi = n * (t + 1) / num_parts;
     std::vector<PointId> ids(hi - lo);
@@ -71,7 +72,7 @@ std::vector<PointId> ParallelSfs::Compute(const Dataset& data,
   // point of its partition, which then also dominates the survivor).
   std::vector<std::vector<PointId>> surviving(num_parts);
   StatsAccumulator cross_stats(num_parts);
-  ParallelForEachUnit(num_parts, workers, [&](std::size_t t) {
+  team.ForEachUnit(num_parts, [&](std::size_t t) {
     std::uint64_t local_tests = 0;
     for (PointId p : local[t]) {
       bool dominated = false;

@@ -153,11 +153,4 @@ void WorkerTeam::ForEachUnit(std::size_t num_units,
 #endif
 }
 
-void ParallelForEachUnit(std::size_t num_units, unsigned workers,
-                         const std::function<void(std::size_t)>& fn) {
-  if (num_units == 0) return;
-  WorkerTeam team(EffectiveWorkers(workers, num_units));
-  team.ForEachUnit(num_units, fn);
-}
-
 }  // namespace skyline

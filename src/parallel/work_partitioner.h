@@ -1,11 +1,14 @@
-// Deterministic work decomposition for the parallel skyline engines.
+// The thread pool of the parallel skyline engines, and the rules that
+// size their work.
 //
 // The engines separate *what* the work units are from *who* executes
-// them: the units are a pure function of the input, and threads claim
-// them dynamically from a shared cursor. Every unit-local computation
-// (and its SkylineStats slot) is therefore identical for any thread
-// count — scheduling decides only the wall clock, never the result or
-// the counters.
+// them: the units are a pure function of the input (partitions counted
+// from n alone, or fixed-size blocks), and the members of a WorkerTeam
+// claim them from a shared cursor. Every unit-local computation (and
+// its SkylineStats slot) is therefore identical for any thread count —
+// scheduling decides only the wall clock, never the result or the
+// counters. WorkerTeam is the library's one thread pool: each engine
+// runs every parallel phase of a computation on one team.
 #ifndef SKYLINE_PARALLEL_WORK_PARTITIONER_H_
 #define SKYLINE_PARALLEL_WORK_PARTITIONER_H_
 
@@ -90,14 +93,6 @@ class WorkerTeam {
   // unguarded: only the owner touches it, and never during a phase.
   std::vector<std::thread> threads_;
 };
-
-/// Runs fn(unit) once for every unit in [0, num_units) on a WorkerTeam
-/// of `workers` (clamped via EffectiveWorkers; 1 worker runs inline),
-/// with ForEachUnit's contract. A throwing unit's exception is rethrown
-/// on the calling thread after the team's threads are joined, the same
-/// propagation the inline path has.
-void ParallelForEachUnit(std::size_t num_units, unsigned workers,
-                         const std::function<void(std::size_t)>& fn);
 
 }  // namespace skyline
 

@@ -70,7 +70,7 @@ const std::vector<PointId>& QueryService::Entry::published_ids() const {
 }
 
 QueryService::QueryService(const Dataset& data, QueryServiceOptions options)
-    : data_(data), options_(std::move(options)) {
+    : data_(data), num_dims_(data.num_dims()), options_(std::move(options)) {
   SKYLINE_ASSERT(options_.max_entries >= 1,
                  "QueryService: max_entries must be at least 1");
   auto v0 = std::make_shared<DatasetVersion>();
@@ -82,7 +82,7 @@ QueryService::QueryService(const Dataset& data, QueryServiceOptions options)
     version_ = v0;
   }
   if (!options_.pin_full_space) return;
-  const Subspace full = Subspace::Full(data_.num_dims());
+  const Subspace full = Subspace::Full(num_dims_);
   std::uint64_t tests = 0;
   auto entry = std::make_shared<Entry>(/*pinned_entry=*/true, /*entry_epoch=*/0);
   std::vector<PointId> ids = ComputeCold(*v0, full, &tests);
@@ -179,11 +179,13 @@ std::vector<PointId> QueryService::ComputeSeededCore(
     const std::vector<PointId>& candidates, std::uint64_t* tests) const {
   // Candidates come from a current-epoch entry, so every id is live.
   if (candidates.size() < options_.seeded_boost_threshold) {
-    // Warm this worker's projection scratch to the largest shape the
-    // boosted path can see (threshold-sized seed, full dimensionality),
-    // so repeated seeded queries stop allocating.
-    WarmSubspaceScratch(options_.seeded_boost_threshold,
-                        version.data.num_dims());
+    // Warm this worker's projection scratch to the largest seed the BNL
+    // can see (below the threshold, and no more than the live rows; a
+    // "never boost" threshold must not size an allocation), at full
+    // dimensionality, so repeated seeded queries stop allocating.
+    WarmSubspaceScratch(
+        std::min(options_.seeded_boost_threshold, version.num_live),
+        version.data.num_dims());
     return SubspaceSkylineOverCandidates(version.data, v, candidates, tests);
   }
   // Large seed (e.g. a near-total anti-correlated full-space skyline):
@@ -251,7 +253,7 @@ QueryService::EntryPtr QueryService::MakeReadyEntry(bool pinned,
 
 std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
                                         std::span<const PointId> removes) {
-  const Dim d = data_.num_dims();
+  const Dim d = num_dims_;
   SKYLINE_ASSERT(inserts.size() % d == 0,
                  "ApplyUpdate: inserts must be k * num_dims values");
   const std::size_t num_inserts = inserts.size() / d;
@@ -418,7 +420,7 @@ void QueryService::PublishAndEvict(const EntryPtr& entry, std::uint64_t key,
 std::vector<PointId> QueryService::Query(Subspace v,
                                          std::uint64_t* epoch_out) {
   SKYLINE_ASSERT(!v.empty(), "Query: empty subspace");
-  SKYLINE_ASSERT(v.IsSubsetOf(Subspace::Full(data_.num_dims())),
+  SKYLINE_ASSERT(v.IsSubsetOf(Subspace::Full(num_dims_)),
                  "Query: subspace outside the dataset's space");
   const auto start = std::chrono::steady_clock::now();
   queries_.fetch_add(1, std::memory_order_relaxed);

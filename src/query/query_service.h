@@ -200,8 +200,9 @@ struct QueryStatsSnapshot {
 
 /// Thread-safe memoizing subspace-skyline server over one Dataset. The
 /// construction dataset is snapshotted as epoch 0; it must stay alive
-/// and unmodified only through the constructor call itself. All later
-/// mutation goes through ApplyUpdate.
+/// and unmodified only through the constructor call itself, unless the
+/// caller reads it back through data(). All later mutation goes through
+/// ApplyUpdate.
 class QueryService {
  public:
   explicit QueryService(const Dataset& data, QueryServiceOptions options = {});
@@ -273,8 +274,10 @@ class QueryService {
   /// The current epoch (0 until the first non-empty ApplyUpdate).
   std::uint64_t epoch() const SKYLINE_EXCLUDES(cache_mu_);
 
-  /// The construction-time dataset (epoch 0). Later epochs are reached
-  /// through current_version().
+  /// The construction-time dataset (epoch 0), read through the caller's
+  /// reference: valid only while the caller keeps that dataset alive
+  /// and unmodified. Later epochs are reached through current_version(),
+  /// which needs neither.
   const Dataset& data() const { return data_; }
   const QueryServiceOptions& options() const { return options_; }
 
@@ -369,7 +372,10 @@ class QueryService {
   /// True while the cache exceeds its entry or id budget.
   bool OverBudget() const SKYLINE_REQUIRES_SHARED(cache_mu_);
 
+  /// Only data() reads it: every other path reads the service's own
+  /// version snapshot and `num_dims_`.
   const Dataset& data_;
+  const Dim num_dims_;
   const QueryServiceOptions options_;
 
   mutable SharedMutex cache_mu_;

@@ -2,15 +2,13 @@
 // distributions and geometric patterns that historically break skyline
 // implementations (clustered data, exponential tails, dominance chains
 // interleaved with anti-chains, single-dimension deciders, constant
-// dimensions).
+// dimensions). The shapes live in the shared catalog
+// (tests/support/input_catalog.h).
 #include <gtest/gtest.h>
-
-#include <cmath>
-#include <random>
 
 #include "src/algo/registry.h"
 #include "src/core/verify.h"
-#include "src/data/generator.h"
+#include "tests/support/input_catalog.h"
 
 namespace skyline {
 namespace {
@@ -25,86 +23,27 @@ class AdversarialTest : public ::testing::TestWithParam<std::string> {
 };
 
 TEST_P(AdversarialTest, ExponentialTails) {
-  // Heavy-tailed values: scores span many orders of magnitude, stressing
-  // float comparisons in sort orders and stop rules.
-  std::mt19937_64 rng(3);
-  std::exponential_distribution<Value> exp_dist(1.0);
-  std::vector<Value> values(500 * 4);
-  for (Value& v : values) v = std::pow(exp_dist(rng), 3.0);
-  ExpectCorrect(Dataset(4, std::move(values)));
+  ExpectCorrect(NamedInput("ExponentialTails"));
 }
 
 TEST_P(AdversarialTest, TightClusters) {
-  // A few dense clusters: many near-ties within clusters, clear
-  // dominance between some cluster pairs.
-  std::mt19937_64 rng(5);
-  std::uniform_real_distribution<Value> uni(0, 1);
-  std::normal_distribution<Value> jitter(0, 0.01);
-  const Value centers[4][3] = {
-      {0.2, 0.2, 0.8}, {0.8, 0.2, 0.2}, {0.2, 0.8, 0.2}, {0.5, 0.5, 0.5}};
-  std::vector<Value> values;
-  for (int i = 0; i < 600; ++i) {
-    const auto& c = centers[i % 4];
-    for (int k = 0; k < 3; ++k) values.push_back(c[k] + jitter(rng));
-  }
-  ExpectCorrect(Dataset(3, std::move(values)));
+  ExpectCorrect(NamedInput("TightClusters"));
 }
 
 TEST_P(AdversarialTest, ChainsInterleavedWithAntiChain) {
-  // Half the points form long dominance chains; the other half is a pure
-  // anti-chain near the origin-facing diagonal.
-  std::vector<Value> values;
-  for (int i = 0; i < 200; ++i) {
-    const Value v = 1 + static_cast<Value>(i) / 50;
-    values.insert(values.end(), {v, v, v});
-  }
-  for (int i = 0; i < 200; ++i) {
-    const Value t = static_cast<Value>(i) / 200;
-    values.insert(values.end(),
-                  {t, Value{1} - t, Value{0.5} + (i % 2 ? t : -t) / 2});
-  }
-  ExpectCorrect(Dataset(3, std::move(values)));
+  ExpectCorrect(NamedInput("ChainsInterleavedWithAntiChain"));
 }
 
 TEST_P(AdversarialTest, OneDecidingDimension) {
-  // Dimensions 1..3 constant: the skyline is decided by dimension 0
-  // alone — degenerate tie blocks everywhere else.
-  std::mt19937_64 rng(7);
-  std::uniform_int_distribution<int> val(0, 99);
-  std::vector<Value> values;
-  for (int i = 0; i < 400; ++i) {
-    values.insert(values.end(),
-                  {static_cast<Value>(val(rng)), 5.0, 5.0, 5.0});
-  }
-  ExpectCorrect(Dataset(4, std::move(values)));
+  ExpectCorrect(NamedInput("OneDecidingDimension"));
 }
 
 TEST_P(AdversarialTest, MirroredPairsOnTwoDims) {
-  // Every point (x, 1-x, ...) has a mirror (1-x, x, ...): a large
-  // anti-chain with exact coordinate swaps.
-  std::mt19937_64 rng(9);
-  std::uniform_real_distribution<Value> uni(0, 1);
-  std::vector<Value> values;
-  for (int i = 0; i < 300; ++i) {
-    const Value x = uni(rng);
-    const Value z = uni(rng);
-    values.insert(values.end(), {x, Value{1} - x, z});
-    values.insert(values.end(), {Value{1} - x, x, z});
-  }
-  ExpectCorrect(Dataset(3, std::move(values)));
+  ExpectCorrect(NamedInput("MirroredPairsOnTwoDims"));
 }
 
 TEST_P(AdversarialTest, VeryCloseButUnequalValues) {
-  // Values differing only at the last few ulps: any tolerance-based
-  // comparison would misclassify dominance.
-  std::vector<Value> values;
-  const Value base = 0.1;
-  const Value eps = std::nextafter(base, Value{1}) - base;
-  for (int i = 0; i < 100; ++i) {
-    values.insert(values.end(),
-                  {base + i * eps, base + (99 - i) * eps, base});
-  }
-  ExpectCorrect(Dataset(3, std::move(values)));
+  ExpectCorrect(NamedInput("VeryCloseButUnequalValues"));
 }
 
 std::string StripDashes2(const ::testing::TestParamInfo<std::string>& info) {

@@ -1,27 +1,24 @@
 // Cross-algorithm correctness: every registered algorithm must produce
 // exactly the reference skyline on a grid of (data type, dimensionality,
-// cardinality, seed) configurations, plus structured edge cases.
+// cardinality, seed) configurations, plus structured edge cases. Both
+// input sets live in the shared catalog (tests/support/input_catalog.h).
 #include <gtest/gtest.h>
 
 #include <ostream>
 
 #include "src/algo/registry.h"
 #include "src/core/verify.h"
-#include "src/data/generator.h"
+#include "tests/support/input_catalog.h"
 
 namespace skyline {
 namespace {
 
 struct Config {
   std::string algorithm;
-  DataType type;
-  unsigned dims;
-  std::size_t points;
-  std::uint64_t seed;
+  GridInput input;
 
   friend std::ostream& operator<<(std::ostream& out, const Config& c) {
-    return out << c.algorithm << "_" << ShortName(c.type) << "_" << c.dims
-               << "d_" << c.points << "n_s" << c.seed;
+    return out << c.algorithm << "_" << c.input;
   }
 };
 
@@ -41,7 +38,7 @@ TEST_P(AlgorithmCorrectnessTest, MatchesReferenceSkyline) {
   const Config& c = GetParam();
   auto algo = MakeAlgorithm(c.algorithm);
   ASSERT_NE(algo, nullptr);
-  Dataset data = Generate(c.type, c.points, c.dims, c.seed);
+  Dataset data = c.input.Make();
   SkylineStats stats;
   std::vector<PointId> result = algo->Compute(data, &stats);
   EXPECT_EQ(stats.skyline_size, result.size());
@@ -51,17 +48,9 @@ TEST_P(AlgorithmCorrectnessTest, MatchesReferenceSkyline) {
 
 std::vector<Config> MakeGrid() {
   std::vector<Config> grid;
-  const std::vector<DataType> types = {DataType::kAntiCorrelated,
-                                       DataType::kCorrelated,
-                                       DataType::kUniformIndependent};
   for (const std::string& name : AlgorithmNames()) {
-    for (DataType type : types) {
-      for (unsigned d : {1u, 2u, 3u, 5u, 8u, 12u}) {
-        grid.push_back({name, type, d, 400, 42});
-      }
-      // A second seed and size at a representative dimensionality.
-      grid.push_back({name, type, 6, 1000, 7});
-      grid.push_back({name, type, 4, 50, 1234});
+    for (const GridInput& input : RegistryGrid()) {
+      grid.push_back({name, input});
     }
   }
   return grid;
@@ -83,93 +72,57 @@ class AlgorithmEdgeCaseTest : public ::testing::TestWithParam<std::string> {
 };
 
 TEST_P(AlgorithmEdgeCaseTest, EmptyDataset) {
-  Dataset data(3);
   auto algo = MakeAlgorithm(GetParam());
   ASSERT_NE(algo, nullptr);
-  EXPECT_TRUE(algo->Compute(data).empty());
+  EXPECT_TRUE(algo->Compute(NamedInput("EmptyDataset")).empty());
 }
 
 TEST_P(AlgorithmEdgeCaseTest, SinglePoint) {
-  ExpectCorrect(Dataset::FromRows({{0.3, 0.7}}));
+  ExpectCorrect(NamedInput("SinglePoint"));
 }
 
 TEST_P(AlgorithmEdgeCaseTest, AllPointsEqual) {
-  ExpectCorrect(Dataset::FromRows({{1, 2, 3}, {1, 2, 3}, {1, 2, 3}, {1, 2, 3}}));
+  ExpectCorrect(NamedInput("AllPointsEqual"));
 }
 
 TEST_P(AlgorithmEdgeCaseTest, DuplicateSkylineAndDominatedPoints) {
-  ExpectCorrect(Dataset::FromRows({
-      {1, 5},
-      {1, 5},  // duplicate skyline point
-      {5, 1},
-      {5, 1},  // duplicate skyline point
-      {5, 5},
-      {5, 5},  // duplicate dominated point
-      {3, 3},
-  }));
+  ExpectCorrect(NamedInput("DuplicateSkylineAndDominatedPoints"));
 }
 
 TEST_P(AlgorithmEdgeCaseTest, TotallyOrderedChain) {
-  ExpectCorrect(Dataset::FromRows({{4, 4}, {3, 3}, {2, 2}, {1, 1}, {5, 5}}));
+  ExpectCorrect(NamedInput("TotallyOrderedChain"));
 }
 
 TEST_P(AlgorithmEdgeCaseTest, EverythingIncomparable) {
-  // A pure anti-chain: each point best in one dimension.
-  ExpectCorrect(Dataset::FromRows({
-      {0, 1, 2, 3},
-      {3, 0, 1, 2},
-      {2, 3, 0, 1},
-      {1, 2, 3, 0},
-  }));
+  ExpectCorrect(NamedInput("EverythingIncomparable"));
 }
 
 TEST_P(AlgorithmEdgeCaseTest, OneDominatorPrunesEverything) {
-  ExpectCorrect(Dataset::FromRows({{5, 5}, {6, 7}, {9, 5.5}, {0, 0}, {7, 8}}));
+  ExpectCorrect(NamedInput("OneDominatorPrunesEverything"));
 }
 
 TEST_P(AlgorithmEdgeCaseTest, SharedCoordinatesTieHandling) {
-  // Many points share coordinates in single dimensions without being
-  // duplicates — stresses tie handling in sorted scans and SDI blocks.
-  ExpectCorrect(Dataset::FromRows({
-      {1, 2, 2},
-      {1, 2, 3},
-      {1, 3, 2},
-      {2, 2, 2},
-      {2, 1, 3},
-      {1, 1, 4},
-      {1, 1, 4},
-      {3, 1, 1},
-      {1, 3, 1},
-  }));
+  ExpectCorrect(NamedInput("SharedCoordinatesTieHandling"));
 }
 
 TEST_P(AlgorithmEdgeCaseTest, ZeroValuedPoints) {
-  ExpectCorrect(Dataset::FromRows({{0, 0, 0}, {0, 1, 0}, {1, 0, 0}, {0, 0, 1}}));
+  ExpectCorrect(NamedInput("ZeroValuedPoints"));
 }
 
 TEST_P(AlgorithmEdgeCaseTest, SixteenDimensions) {
-  ExpectCorrect(Generate(DataType::kUniformIndependent, 150, 16, 5));
+  ExpectCorrect(NamedInput("SixteenDimensions"));
 }
 
 TEST_P(AlgorithmEdgeCaseTest, TwentyFourDimensions) {
-  ExpectCorrect(Generate(DataType::kAntiCorrelated, 80, 24, 5));
+  ExpectCorrect(NamedInput("TwentyFourDimensions"));
 }
 
 TEST_P(AlgorithmEdgeCaseTest, NegativeValues) {
-  // Dominance is translation-invariant; the default configuration of
-  // every algorithm must handle negative coordinates.
-  Dataset base = Generate(DataType::kUniformIndependent, 400, 4, 21);
-  std::vector<Value> values = base.values();
-  for (Value& v : values) v -= Value{0.6};
-  ExpectCorrect(Dataset(4, std::move(values)));
+  ExpectCorrect(NamedInput("NegativeValues"));
 }
 
 TEST_P(AlgorithmEdgeCaseTest, QuantizedHeavyDuplicates) {
-  // Integer grid data: every dimension has only 3 distinct values.
-  Dataset base = Generate(DataType::kUniformIndependent, 600, 4, 9);
-  std::vector<Value> values = base.values();
-  for (Value& v : values) v = std::floor(v * 3);
-  ExpectCorrect(Dataset(4, std::move(values)));
+  ExpectCorrect(NamedInput("QuantizedHeavyDuplicates"));
 }
 
 std::string StripDashes(const ::testing::TestParamInfo<std::string>& info) {

@@ -37,8 +37,8 @@ TEST(WorkPartitionerTest, EveryUnitRunsExactlyOnce) {
   for (unsigned workers : {1u, 2u, 5u, 16u}) {
     const std::size_t units = 137;
     std::vector<std::atomic<int>> hits(units);
-    ParallelForEachUnit(units, workers,
-                        [&](std::size_t u) { hits[u].fetch_add(1); });
+    WorkerTeam team(EffectiveWorkers(workers, units));
+    team.ForEachUnit(units, [&](std::size_t u) { hits[u].fetch_add(1); });
     for (std::size_t u = 0; u < units; ++u) {
       EXPECT_EQ(hits[u].load(), 1) << "unit " << u << " workers " << workers;
     }
@@ -47,20 +47,22 @@ TEST(WorkPartitionerTest, EveryUnitRunsExactlyOnce) {
 
 TEST(WorkPartitionerTest, ZeroUnitsIsANoOp) {
   bool called = false;
-  ParallelForEachUnit(0, 8, [&](std::size_t) { called = true; });
+  WorkerTeam team(8);
+  team.ForEachUnit(0, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(WorkPartitionerTest, ThrowingUnitIsRethrownOnTheCallingThread) {
   for (unsigned workers : {1u, 4u}) {
     std::atomic<int> ran{0};
-    EXPECT_THROW(ParallelForEachUnit(64, workers,
-                                     [&](std::size_t u) {
-                                       ran.fetch_add(1);
-                                       if (u == 5) {
-                                         throw std::runtime_error("unit 5");
-                                       }
-                                     }),
+    WorkerTeam team(workers);
+    EXPECT_THROW(team.ForEachUnit(64,
+                                  [&](std::size_t u) {
+                                    ran.fetch_add(1);
+                                    if (u == 5) {
+                                      throw std::runtime_error("unit 5");
+                                    }
+                                  }),
                  std::runtime_error)
         << "workers " << workers;
     EXPECT_GE(ran.load(), 1);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -174,6 +175,23 @@ TEST(QueryServiceTest, BoostedSeededKernelMatchesBnlSeededKernel) {
   // Both services actually took the seeded path (full space pinned).
   EXPECT_EQ(boosted.Stats().seeded, 14u);
   EXPECT_EQ(bnl.Stats().seeded, 14u);
+}
+
+TEST(QueryServiceTest, NeverBoostThresholdAnswersSeededMisses) {
+  // SIZE_MAX keeps every seeded miss on the skycube BNL. The threshold
+  // must not size the BNL's scratch: a throw there would leave the
+  // claimed entry unpublished and block every later query of it.
+  const Dataset data = Generate(DataType::kAntiCorrelated, 300, 3, 33);
+  QueryServiceOptions options;
+  options.seeded_boost_threshold = SIZE_MAX;
+  QueryService service(data, options);
+  const Subspace v{0, 2};
+  const std::vector<PointId> expected = SubspaceSkyline(data, v);
+  EXPECT_EQ(service.Query(v), expected);
+  EXPECT_EQ(service.Query(v), expected);
+  const QueryStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.seeded, 1u);
+  EXPECT_EQ(stats.hits, 1u);
 }
 
 TEST(QueryServiceTest, EvictionRespectsEntryBound) {

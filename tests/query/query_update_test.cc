@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -399,6 +400,21 @@ TEST(QueryUpdateTest, UpdateOvertakingInFlightComputeDetachesEntry) {
   // timing-dependent and not asserted; the invariants above are what
   // must hold on every interleaving.
   (void)detached_observed;
+}
+
+TEST(QueryUpdateTest, ConstructionDatasetMayDieAfterTheConstructor) {
+  // The service snapshots the construction dataset; updates and queries
+  // must never read the caller's copy again.
+  auto data = std::make_unique<Dataset>(
+      Generate(DataType::kUniformIndependent, 200, 3, 52));
+  QueryService service(*data);
+  data.reset();  // a later read of it is a heap use-after-free (ASan)
+  service.ApplyUpdate(std::vector<Value>{0.05, 0.9, 0.9, 0.9, 0.05, 0.9},
+                      std::vector<PointId>{3});
+  const DatasetVersionPtr version = service.current_version();
+  EXPECT_EQ(version->data.num_dims(), 3u);
+  EXPECT_EQ(version->num_live, 201u);
+  ExpectAllCuboidsMatchOracle(service);
 }
 
 TEST(QueryUpdateTest, UpdateCountersAreExact) {
