@@ -271,7 +271,7 @@ void BenchScenario(DataType type, std::size_t n, Dim d,
          scalar_any, kernel_any);
 
   // ---- dominating-subspace-batch: every point's mask folded over the
-  // pivot block (the re-base shape). ----
+  // pivot block (the streaming reference-set filter shape). ----
   const auto scalar_fold = Run(runs, [&] {
     std::uint64_t checksum = 0;
     std::uint64_t scans = 0;
@@ -279,7 +279,6 @@ void BenchScenario(DataType type, std::size_t n, Dim d,
       const Value* q_row = data.row(static_cast<PointId>(q));
       Subspace mask;
       for (PointId s : block) {
-        if (s == static_cast<PointId>(q)) continue;
         ++scans;
         bool worse = false;
         const Subspace m =
@@ -299,8 +298,7 @@ void BenchScenario(DataType type, std::size_t n, Dim d,
     std::uint64_t scans = 0;
     for (std::size_t q = 0; q < n; ++q) {
       const auto r = kernels::DominatingSubspaceBatch(
-          aligned, block, aligned.row_unchecked(q), d,
-          /*skip=*/static_cast<PointId>(q));
+          aligned, block, aligned.row_unchecked(q), d);
       scans += r.scanned;
       checksum +=
           r.dominated_by != kernels::kNoDominator ? 0 : r.mask.bits();
@@ -416,9 +414,8 @@ void BenchScenario(DataType type, std::size_t n, Dim d,
       std::uint64_t checksum = 0;
       std::uint64_t scans = 0;
       for (PointId q : probes) {
-        const auto r = ops.dominates_any(aligned, block,
-                                         aligned.row_unchecked(q), d,
-                                         kInvalidPoint, prefilter);
+        const auto r = ops.dominates_any(
+            aligned, block, aligned.row_unchecked(q), d, prefilter);
         scans += r.scanned;
         checksum += r.first != kernels::kNoDominator ? 1 : 0;
       }
@@ -431,7 +428,7 @@ void BenchScenario(DataType type, std::size_t n, Dim d,
       std::uint64_t scans = 0;
       for (PointId q : probes) {
         const auto r = ops.dominating_subspace_batch(
-            aligned, block, aligned.row_unchecked(q), d, kInvalidPoint);
+            aligned, block, aligned.row_unchecked(q), d);
         scans += r.scanned;
         checksum += r.dominated_by != kernels::kNoDominator ? 0 : r.mask.bits();
       }

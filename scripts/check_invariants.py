@@ -46,11 +46,13 @@ Rules, each scoped to src/:
 
   R7  SIMD intrinsics (immintrin.h and friends, __m128/__m256/__m512
       vector types, __mmask*, _mm*_* calls) are confined to the
-      src/core/simd_* backend files. Everything else goes through the
-      dispatched kernels:: wrappers, so a single compile flag boundary
-      (per-file -mavx2 / -mavx512*) covers every intrinsic in the tree
-      and no binary built for the baseline ISA can fault on an illegal
-      instruction hidden in an unrelated layer.
+      src/core/simd_*.cc backend files. Everything else — the
+      src/core/simd_*.h headers included, since baseline-ISA files
+      include them — goes through the dispatched kernels:: wrappers, so
+      a single compile flag boundary (per-file -mavx2 / -mavx512*)
+      covers every intrinsic in the tree and no binary built for the
+      baseline ISA can fault on an illegal instruction hidden in an
+      unrelated layer.
 
 Usage:
   scripts/check_invariants.py              lint src/ of this repository
@@ -77,7 +79,8 @@ KERNEL_FILES = (
     os.path.join("src", "core", "aligned.h"),
     os.path.join("src", "core", "cpu.cc"),
 )
-# Directory prefix whose files may contain SIMD intrinsics (R7).
+# Prefix of the kernel backend files (R5). Of these, only the .cc
+# translation units may contain SIMD intrinsics (R7).
 SIMD_BACKEND_PREFIX = os.path.join("src", "core", "simd_")
 
 STD_SYNC_TYPES = (
@@ -359,13 +362,14 @@ RE_INTRINSIC = re.compile(
 
 def check_intrinsic_containment(relpath, stripped):
     norm = relpath.replace(os.sep, "/")
-    if norm.startswith(SIMD_BACKEND_PREFIX.replace(os.sep, "/")):
+    if (norm.startswith(SIMD_BACKEND_PREFIX.replace(os.sep, "/"))
+            and norm.endswith(".cc")):
         return []
     findings = []
     for m in RE_INTRINSIC.finditer(stripped):
         findings.append(Finding(
             "R7", relpath, line_of(stripped, m.start()),
-            "SIMD intrinsic '%s' outside src/core/simd_* — only the "
+            "SIMD intrinsic '%s' outside src/core/simd_*.cc — only the "
             "per-file-compiled backend files may use intrinsics; call "
             "through the dispatched kernels:: wrappers instead" %
             m.group(0).strip()))
@@ -531,20 +535,27 @@ SELF_TEST_CASES = [
           return entry->published_ids();
         }
     """, []),
-    ("R7 intrinsic call outside simd_*", "src/subset/bad_simd.cc", """
+    ("R7 intrinsic call outside simd_*.cc", "src/subset/bad_simd.cc", """
         double Sum(const double* p) {
           __m256d v = _mm256_loadu_pd(p);
           return v[0];
         }
     """, ["R7", "R7"]),
-    ("R7 intrinsics header include outside simd_*", "src/core/kernels.h",
+    ("R7 intrinsics header include outside simd_*.cc", "src/core/kernels.h",
      """
         #include <immintrin.h>
         inline void Nothing() {}
     """, ["R7"]),
-    ("R7 mask type leak outside simd_*", "src/query/bad_mask.h", """
+    ("R7 mask type leak outside simd_*.cc", "src/query/bad_mask.h", """
         struct Probe { __mmask8 lanes; };
     """, ["R7"]),
+    ("R7 intrinsic in a simd_* header", "src/core/simd_batch.h", """
+        template <class Isa>
+        unsigned Lanes(const double* p) {
+          return static_cast<unsigned>(_mm256_movemask_pd(
+              _mm256_loadu_pd(p)));
+        }
+    """, ["R7", "R7"]),
     ("R7 intrinsics allowed inside the backends", "src/core/simd_avx2.cc",
      """
         #include <immintrin.h>

@@ -145,15 +145,12 @@ inline Subspace DominatingSubspaceEx(const Value* SKYLINE_RESTRICT q,
 /// Tests candidate row `q_row` against the block of rows named by `ids`
 /// in a single pass, in block order — the retrieval-loop shape of
 /// SFS-Subset / SaLSa-Subset / SDI-Subset ("does any stored skyline
-/// point dominate q?"). Rows equal to `skip` are passed over without
-/// charge, mirroring the `cand == p` guard of the cross-filter loops.
-/// Dispatches to the active ISA backend; consults the quantized
-/// prefilter when enabled and the block is large enough to amortize
-/// quantizing the probe row.
+/// point dominate q?"). Dispatches to the active ISA backend; consults
+/// the quantized prefilter when enabled and the block is large enough
+/// to amortize quantizing the probe row.
 inline BatchProbeResult DominatesAny(const AlignedDataset& rows,
                                      std::span<const PointId> ids,
-                                     const Value* q_row, Dim d,
-                                     PointId skip = kInvalidPoint) {
+                                     const Value* q_row, Dim d) {
   if constexpr (kSkylineAsserts) {
     for (PointId id : ids) {
       SKYLINE_ASSERT(id < rows.num_rows(), "DominatesAny: id out of range");
@@ -162,7 +159,7 @@ inline BatchProbeResult DominatesAny(const AlignedDataset& rows,
   const bool prefilter = cpu::PrefilterEnabled() &&
                          ids.size() >= cpu::kPrefilterMinBlock &&
                          rows.has_quantized();
-  return cpu::ActiveOps().dominates_any(rows, ids, q_row, d, skip, prefilter);
+  return cpu::ActiveOps().dominates_any(rows, ids, q_row, d, prefilter);
 }
 
 /// Folds the dominating subspace of candidate `q_row` over the pivot
@@ -173,16 +170,16 @@ inline BatchProbeResult DominatesAny(const AlignedDataset& rows,
 /// continues, exactly like the scalar loops. Dispatches to the active
 /// ISA backend (no prefilter: every scanned pivot must contribute its
 /// exact mask bits).
-inline BatchSubspaceResult DominatingSubspaceBatch(
-    const AlignedDataset& rows, std::span<const PointId> ids,
-    const Value* q_row, Dim d, PointId skip = kInvalidPoint) {
+inline BatchSubspaceResult DominatingSubspaceBatch(const AlignedDataset& rows,
+                                                   std::span<const PointId> ids,
+                                                   const Value* q_row, Dim d) {
   if constexpr (kSkylineAsserts) {
     for (PointId id : ids) {
       SKYLINE_ASSERT(id < rows.num_rows(),
                      "DominatingSubspaceBatch: id out of range");
     }
   }
-  return cpu::ActiveOps().dominating_subspace_batch(rows, ids, q_row, d, skip);
+  return cpu::ActiveOps().dominating_subspace_batch(rows, ids, q_row, d);
 }
 
 /// The Merge inner-loop shape: D_{q<pivot} plus the q-somewhere-worse

@@ -1,4 +1,5 @@
-// AVX2 backend of the batched dominance kernels.
+// AVX2 backend of the batched dominance kernels: the vector primitives
+// the shared batched loops of src/core/simd_batch.h run on.
 //
 // Layout facts the intrinsics rely on (see src/core/aligned_dataset.h):
 //   * exact rows are 64-byte aligned with a padded stride, but the
@@ -15,34 +16,21 @@
 // Comparison predicates are ordered-quiet (_CMP_GT_OQ/_CMP_LT_OQ):
 // false on NaN, exactly like the scalar `a > b` / `a < b`, which keeps
 // results bit-identical to src/core/simd_scalar.cc on NaN inputs.
-//
-// The one-vs-many probes interleave 4 pivot rows per iteration to
-// break the compare->accumulate dependence chain; the `scanned` charge
-// is rolled back to the first dominator inside a group, so the
-// early-exit charge contract is preserved exactly.
-#include <cstddef>
 #include <cstdint>
-#include <span>
 
-#include "src/core/aligned_dataset.h"
+#include "src/core/simd_batch.h"
 #include "src/core/simd_dispatch.h"
-#include "src/core/subspace.h"
 #include "src/core/types.h"
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
 
-#include <bit>
-
 namespace skyline {
 namespace kernels {
 namespace simd {
 
 namespace {
-
-/// Pivot rows interleaved per iteration in the one-vs-many probes.
-constexpr unsigned kGroup = 4;
 
 /// Lane-enable vector for a tail of r doubles (r in 1..3): the first r
 /// lanes all-ones, the rest zero.
@@ -54,271 +42,115 @@ inline __m256i TailMask(Dim r) {
       reinterpret_cast<const __m256i*>(kTailTable + 4 - r));
 }
 
-/// Dominance of up to kGroup pivot rows over one probe row, as a
-/// bitmask (bit j set iff p[j] dominates q). Flag accumulation across
-/// the row, decision at the end — same shape as the scalar reference.
-inline unsigned Dominates4(const Value* const* p, unsigned m, const Value* q,
-                           Dim d) {
-  __m256d worse[kGroup];
-  __m256d better[kGroup];
-  for (unsigned j = 0; j < m; ++j) {
-    worse[j] = _mm256_setzero_pd();
-    better[j] = _mm256_setzero_pd();
-  }
-  Dim i = 0;
-  for (; i + 4 <= d; i += 4) {
-    const __m256d vq = _mm256_loadu_pd(q + i);
-    for (unsigned j = 0; j < m; ++j) {
-      const __m256d vp = _mm256_loadu_pd(p[j] + i);
-      worse[j] = _mm256_or_pd(worse[j], _mm256_cmp_pd(vp, vq, _CMP_GT_OQ));
-      better[j] = _mm256_or_pd(better[j], _mm256_cmp_pd(vp, vq, _CMP_LT_OQ));
-    }
-  }
-  if (i < d) {
-    const __m256i tm = TailMask(d - i);
-    const __m256d vq = _mm256_maskload_pd(q + i, tm);
-    for (unsigned j = 0; j < m; ++j) {
-      const __m256d vp = _mm256_maskload_pd(p[j] + i, tm);
-      worse[j] = _mm256_or_pd(worse[j], _mm256_cmp_pd(vp, vq, _CMP_GT_OQ));
-      better[j] = _mm256_or_pd(better[j], _mm256_cmp_pd(vp, vq, _CMP_LT_OQ));
-    }
-  }
-  unsigned out = 0;
-  for (unsigned j = 0; j < m; ++j) {
-    if (_mm256_movemask_pd(worse[j]) == 0 &&
-        _mm256_movemask_pd(better[j]) != 0) {
-      out |= 1u << j;
-    }
-  }
-  return out;
-}
+/// The AVX2 primitives of src/core/simd_batch.h.
+struct Avx2 {
+  /// Rows interleaved per call, to break the compare->accumulate
+  /// dependence chain.
+  static constexpr unsigned kGroup = 4;
 
-/// D_{q<p[j]} bits plus the q-somewhere-worse flag for one probe row
-/// against up to kGroup pivot rows.
-inline void SubspaceQ4(const Value* q, const Value* const* p, unsigned m,
-                       Dim d, std::uint64_t* out_bits, unsigned* out_worse) {
-  std::uint64_t bits[kGroup] = {0, 0, 0, 0};
-  __m256d worse[kGroup];
-  for (unsigned j = 0; j < m; ++j) worse[j] = _mm256_setzero_pd();
-  Dim i = 0;
-  for (; i + 4 <= d; i += 4) {
-    const __m256d vq = _mm256_loadu_pd(q + i);
+  /// Dominance of up to kGroup pivot rows over one probe row, as a
+  /// bitmask (bit j set iff p[j] dominates q). Flag accumulation across
+  /// the row, decision at the end — same shape as the scalar reference.
+  static unsigned Dominates(const Value* const* p, unsigned m,
+                            const Value* q, Dim d) {
+    __m256d worse[kGroup];
+    __m256d better[kGroup];
     for (unsigned j = 0; j < m; ++j) {
-      const __m256d vp = _mm256_loadu_pd(p[j] + i);
-      bits[j] |= static_cast<std::uint64_t>(static_cast<unsigned>(
-                     _mm256_movemask_pd(_mm256_cmp_pd(vq, vp, _CMP_LT_OQ))))
-                 << i;
-      worse[j] = _mm256_or_pd(worse[j], _mm256_cmp_pd(vq, vp, _CMP_GT_OQ));
+      worse[j] = _mm256_setzero_pd();
+      better[j] = _mm256_setzero_pd();
     }
-  }
-  if (i < d) {
-    const __m256i tm = TailMask(d - i);
-    const __m256d vq = _mm256_maskload_pd(q + i, tm);
-    for (unsigned j = 0; j < m; ++j) {
-      const __m256d vp = _mm256_maskload_pd(p[j] + i, tm);
-      bits[j] |= static_cast<std::uint64_t>(static_cast<unsigned>(
-                     _mm256_movemask_pd(_mm256_cmp_pd(vq, vp, _CMP_LT_OQ))))
-                 << i;
-      worse[j] = _mm256_or_pd(worse[j], _mm256_cmp_pd(vq, vp, _CMP_GT_OQ));
-    }
-  }
-  for (unsigned j = 0; j < m; ++j) {
-    out_bits[j] = bits[j];
-    out_worse[j] = _mm256_movemask_pd(worse[j]) != 0 ? 1u : 0u;
-  }
-}
-
-/// D_{r[j]<pivot} bits plus the r[j]-somewhere-worse flag for up to
-/// kGroup rows against one pivot row — the Merge inner-loop shape.
-inline void SubspaceRow4(const Value* const* r, unsigned m, const Value* p,
-                         Dim d, std::uint64_t* out_bits, unsigned* out_worse) {
-  std::uint64_t bits[kGroup] = {0, 0, 0, 0};
-  __m256d worse[kGroup];
-  for (unsigned j = 0; j < m; ++j) worse[j] = _mm256_setzero_pd();
-  Dim i = 0;
-  for (; i + 4 <= d; i += 4) {
-    const __m256d vp = _mm256_loadu_pd(p + i);
-    for (unsigned j = 0; j < m; ++j) {
-      const __m256d vr = _mm256_loadu_pd(r[j] + i);
-      bits[j] |= static_cast<std::uint64_t>(static_cast<unsigned>(
-                     _mm256_movemask_pd(_mm256_cmp_pd(vr, vp, _CMP_LT_OQ))))
-                 << i;
-      worse[j] = _mm256_or_pd(worse[j], _mm256_cmp_pd(vr, vp, _CMP_GT_OQ));
-    }
-  }
-  if (i < d) {
-    const __m256i tm = TailMask(d - i);
-    const __m256d vp = _mm256_maskload_pd(p + i, tm);
-    for (unsigned j = 0; j < m; ++j) {
-      const __m256d vr = _mm256_maskload_pd(r[j] + i, tm);
-      bits[j] |= static_cast<std::uint64_t>(static_cast<unsigned>(
-                     _mm256_movemask_pd(_mm256_cmp_pd(vr, vp, _CMP_LT_OQ))))
-                 << i;
-      worse[j] = _mm256_or_pd(worse[j], _mm256_cmp_pd(vr, vp, _CMP_GT_OQ));
-    }
-  }
-  for (unsigned j = 0; j < m; ++j) {
-    out_bits[j] = bits[j];
-    out_worse[j] = _mm256_movemask_pd(worse[j]) != 0 ? 1u : 0u;
-  }
-}
-
-/// Quantized reject test: summary row `s` strictly above `q` somewhere
-/// proves the exact row cannot dominate. Whole-line compare; the
-/// padding tail is neutral zero on both sides. s <= q byte-wise iff
-/// max_epu8(s, q) == q.
-inline bool QuantWorseSomewhere(const std::uint8_t* s, const std::uint8_t* q) {
-  const __m256i vs0 =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(s));
-  const __m256i vq0 =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(q));
-  const __m256i vs1 =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(s + 32));
-  const __m256i vq1 =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(q + 32));
-  const __m256i le0 = _mm256_cmpeq_epi8(_mm256_max_epu8(vs0, vq0), vq0);
-  const __m256i le1 = _mm256_cmpeq_epi8(_mm256_max_epu8(vs1, vq1), vq1);
-  return _mm256_movemask_epi8(_mm256_and_si256(le0, le1)) != -1;
-}
-
-BatchProbeResult DominatesAnyAvx2(const AlignedDataset& rows,
-                                  std::span<const PointId> ids,
-                                  const Value* q_row, Dim d, PointId skip,
-                                  bool prefilter) {
-  BatchProbeResult r;
-  alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kQuantStride];
-  // The prefilter engages lazily, after the first exact group fails:
-  // probes resolved within kGroup pivots (the common case on
-  // correlated data and for dominated-heavy streams) never pay for
-  // quantizing the probe row. Engagement timing is invisible in the
-  // results — a quantized reject is sound whenever it fires.
-  bool use_prefilter = false;
-  bool prefilter_pending = prefilter && rows.has_quantized();
-  // Group-size ramp: the first group tests a single pivot, so a probe
-  // the block's leading pivot resolves (the overwhelmingly common case
-  // on correlated inputs, where blocks are sorted strongest-first)
-  // pays for one row compare instead of kGroup.
-  unsigned target = 1;
-  const std::size_t n = ids.size();
-  std::size_t i = 0;
-  while (i < n) {
-    const Value* prow[kGroup];
-    std::size_t pidx[kGroup];
-    std::uint64_t charge[kGroup];
-    unsigned m = 0;
-    while (i < n && m < target) {
-      const PointId id = ids[i];
-      if (id == skip) {
-        ++i;
-        continue;
+    Dim i = 0;
+    for (; i + 4 <= d; i += 4) {
+      const __m256d vq = _mm256_loadu_pd(q + i);
+      for (unsigned j = 0; j < m; ++j) {
+        const __m256d vp = _mm256_loadu_pd(p[j] + i);
+        worse[j] = _mm256_or_pd(worse[j], _mm256_cmp_pd(vp, vq, _CMP_GT_OQ));
+        better[j] =
+            _mm256_or_pd(better[j], _mm256_cmp_pd(vp, vq, _CMP_LT_OQ));
       }
-      ++r.scanned;
-      // A prefilter reject is a proven non-dominator; it stays charged
-      // (the scalar reference loop would have scanned it) but needs no
-      // exact compare.
-      if (use_prefilter &&
-          QuantWorseSomewhere(rows.qrow_unchecked(id), qbuf)) {
-        ++i;
-        continue;
+    }
+    if (i < d) {
+      const __m256i tm = TailMask(d - i);
+      const __m256d vq = _mm256_maskload_pd(q + i, tm);
+      for (unsigned j = 0; j < m; ++j) {
+        const __m256d vp = _mm256_maskload_pd(p[j] + i, tm);
+        worse[j] = _mm256_or_pd(worse[j], _mm256_cmp_pd(vp, vq, _CMP_GT_OQ));
+        better[j] =
+            _mm256_or_pd(better[j], _mm256_cmp_pd(vp, vq, _CMP_LT_OQ));
       }
-      prow[m] = rows.row_unchecked(id);
-      pidx[m] = i;
-      charge[m] = r.scanned;
-      ++m;
-      ++i;
     }
-    if (m == 0) break;
-    const unsigned dom = Dominates4(prow, m, q_row, d);
-    target = kGroup;
-    if (dom != 0) {
-      const unsigned j = static_cast<unsigned>(std::countr_zero(dom));
-      r.first = pidx[j];
-      // Roll the charge back to the scalar early-exit point: pivots
-      // collected after the first dominator were never scanned by the
-      // reference loop.
-      r.scanned = charge[j];
-      return r;
+    unsigned out = 0;
+    for (unsigned j = 0; j < m; ++j) {
+      if (_mm256_movemask_pd(worse[j]) == 0 &&
+          _mm256_movemask_pd(better[j]) != 0) {
+        out |= 1u << j;
+      }
     }
-    if (prefilter_pending) {
-      prefilter_pending = false;
-      use_prefilter = rows.QuantizeRow(q_row, qbuf);
+    return out;
+  }
+
+  /// D_{a<b} bits plus the a-somewhere-worse flag for the pairs
+  /// (a, b) = (shared, rows[j]) when kSharedFirst, else (rows[j], shared).
+  template <bool kSharedFirst>
+  static void Masks(const Value* shared, const Value* const* rows,
+                    unsigned m, Dim d, std::uint64_t* out_bits,
+                    unsigned* out_worse) {
+    std::uint64_t bits[kGroup] = {0, 0, 0, 0};
+    __m256d worse[kGroup];
+    for (unsigned j = 0; j < m; ++j) worse[j] = _mm256_setzero_pd();
+    Dim i = 0;
+    for (; i + 4 <= d; i += 4) {
+      const __m256d vs = _mm256_loadu_pd(shared + i);
+      for (unsigned j = 0; j < m; ++j) {
+        const __m256d vr = _mm256_loadu_pd(rows[j] + i);
+        const __m256d va = kSharedFirst ? vs : vr;
+        const __m256d vb = kSharedFirst ? vr : vs;
+        bits[j] |= static_cast<std::uint64_t>(static_cast<unsigned>(
+                       _mm256_movemask_pd(_mm256_cmp_pd(va, vb, _CMP_LT_OQ))))
+                   << i;
+        worse[j] = _mm256_or_pd(worse[j], _mm256_cmp_pd(va, vb, _CMP_GT_OQ));
+      }
+    }
+    if (i < d) {
+      const __m256i tm = TailMask(d - i);
+      const __m256d vs = _mm256_maskload_pd(shared + i, tm);
+      for (unsigned j = 0; j < m; ++j) {
+        const __m256d vr = _mm256_maskload_pd(rows[j] + i, tm);
+        const __m256d va = kSharedFirst ? vs : vr;
+        const __m256d vb = kSharedFirst ? vr : vs;
+        bits[j] |= static_cast<std::uint64_t>(static_cast<unsigned>(
+                       _mm256_movemask_pd(_mm256_cmp_pd(va, vb, _CMP_LT_OQ))))
+                   << i;
+        worse[j] = _mm256_or_pd(worse[j], _mm256_cmp_pd(va, vb, _CMP_GT_OQ));
+      }
+    }
+    for (unsigned j = 0; j < m; ++j) {
+      out_bits[j] = bits[j];
+      out_worse[j] = _mm256_movemask_pd(worse[j]) != 0 ? 1u : 0u;
     }
   }
-  return r;
-}
 
-BatchSubspaceResult DominatingSubspaceBatchAvx2(const AlignedDataset& rows,
-                                                std::span<const PointId> ids,
-                                                const Value* q_row, Dim d,
-                                                PointId skip) {
-  BatchSubspaceResult r;
-  const std::size_t n = ids.size();
-  std::size_t i = 0;
-  while (i < n) {
-    const Value* prow[kGroup];
-    std::size_t pidx[kGroup];
-    unsigned m = 0;
-    while (i < n && m < kGroup) {
-      const PointId id = ids[i];
-      if (id == skip) {
-        ++i;
-        continue;
-      }
-      prow[m] = rows.row_unchecked(id);
-      pidx[m] = i;
-      ++m;
-      ++i;
-    }
-    if (m == 0) break;
-    std::uint64_t bits[kGroup];
-    unsigned worse[kGroup];
-    SubspaceQ4(q_row, prow, m, d, bits, worse);
-    // Fold in block order; charges accrue here (not at collection) so
-    // pivots past an eliminating one stay uncharged.
-    for (unsigned j = 0; j < m; ++j) {
-      ++r.scanned;
-      if (bits[j] == 0 && worse[j] != 0) {
-        r.dominated_by = pidx[j];
-        return r;
-      }
-      r.mask |= Subspace(bits[j]);
-    }
+  /// Quantized reject test: summary row `s` strictly above `q` somewhere
+  /// proves the exact row cannot dominate. Whole-line compare; the
+  /// padding tail is neutral zero on both sides. s <= q byte-wise iff
+  /// max_epu8(s, q) == q.
+  static bool QuantWorseSomewhere(const std::uint8_t* s,
+                                  const std::uint8_t* q) {
+    const __m256i vs0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(s));
+    const __m256i vq0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(q));
+    const __m256i vs1 =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(s + 32));
+    const __m256i vq1 =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(q + 32));
+    const __m256i le0 = _mm256_cmpeq_epi8(_mm256_max_epu8(vs0, vq0), vq0);
+    const __m256i le1 = _mm256_cmpeq_epi8(_mm256_max_epu8(vs1, vq1), vq1);
+    return _mm256_movemask_epi8(_mm256_and_si256(le0, le1)) != -1;
   }
-  return r;
-}
-
-void DominatingSubspaceExBatchAvx2(const AlignedDataset& rows,
-                                   std::span<const std::uint32_t> row_ids,
-                                   const Value* pivot_row, Dim d,
-                                   Subspace* out_masks,
-                                   std::uint8_t* out_worse) {
-  const std::size_t n = row_ids.size();
-  for (std::size_t i = 0; i < n; i += kGroup) {
-    const unsigned m =
-        static_cast<unsigned>(n - i < kGroup ? n - i : kGroup);
-    const Value* rrow[kGroup];
-    for (unsigned j = 0; j < m; ++j) {
-      rrow[j] = rows.row_unchecked(row_ids[i + j]);
-    }
-    std::uint64_t bits[kGroup];
-    unsigned worse[kGroup];
-    SubspaceRow4(rrow, m, pivot_row, d, bits, worse);
-    for (unsigned j = 0; j < m; ++j) {
-      out_masks[i + j] = Subspace(bits[j]);
-      out_worse[i + j] = worse[j] != 0 ? 1 : 0;
-    }
-  }
-}
-
-const KernelOps kAvx2OpsTable = {
-    &DominatesAnyAvx2,
-    &DominatingSubspaceBatchAvx2,
-    &DominatingSubspaceExBatchAvx2,
 };
 
 }  // namespace
 
-const KernelOps* Avx2Ops() { return &kAvx2OpsTable; }
+const KernelOps* Avx2Ops() { return &kBatchOps<Avx2>; }
 
 }  // namespace simd
 }  // namespace kernels

@@ -1,6 +1,7 @@
 // AVX-512 backend of the batched dominance kernels (requires F for the
 // masked double compares and BW for the 64-lane byte compares of the
-// quantized prefilter).
+// quantized prefilter): the vector primitives the shared batched loops
+// of src/core/simd_batch.h run on.
 //
 // Same layout facts and semantics contract as src/core/simd_avx2.cc;
 // the differences are mechanical:
@@ -12,20 +13,15 @@
 //     are just the compare mask shifted into place — no movemask;
 //   * one _mm512_cmpgt_epu8_mask covers the whole 64-byte quantized
 //     row in a single compare.
-#include <cstddef>
 #include <cstdint>
-#include <span>
 
-#include "src/core/aligned_dataset.h"
+#include "src/core/simd_batch.h"
 #include "src/core/simd_dispatch.h"
-#include "src/core/subspace.h"
 #include "src/core/types.h"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__)
 
 #include <immintrin.h>
-
-#include <bit>
 
 namespace skyline {
 namespace kernels {
@@ -33,258 +29,101 @@ namespace simd {
 
 namespace {
 
-/// Pivot rows interleaved per iteration in the one-vs-many probes.
-constexpr unsigned kGroup = 4;
-
 /// Lane mask enabling the first r of 8 double lanes (r in 1..7).
 inline __mmask8 TailMask(Dim r) {
   return static_cast<__mmask8>((1u << r) - 1u);
 }
 
-/// Dominance of up to kGroup pivot rows over one probe row, as a
-/// bitmask (bit j set iff p[j] dominates q).
-inline unsigned Dominates4(const Value* const* p, unsigned m, const Value* q,
-                           Dim d) {
-  __mmask8 worse[kGroup] = {0, 0, 0, 0};
-  __mmask8 better[kGroup] = {0, 0, 0, 0};
-  Dim i = 0;
-  for (; i + 8 <= d; i += 8) {
-    const __m512d vq = _mm512_loadu_pd(q + i);
-    for (unsigned j = 0; j < m; ++j) {
-      const __m512d vp = _mm512_loadu_pd(p[j] + i);
-      worse[j] |= _mm512_cmp_pd_mask(vp, vq, _CMP_GT_OQ);
-      better[j] |= _mm512_cmp_pd_mask(vp, vq, _CMP_LT_OQ);
-    }
-  }
-  if (i < d) {
-    const __mmask8 tm = TailMask(d - i);
-    const __m512d vq = _mm512_maskz_loadu_pd(tm, q + i);
-    for (unsigned j = 0; j < m; ++j) {
-      const __m512d vp = _mm512_maskz_loadu_pd(tm, p[j] + i);
-      worse[j] |= _mm512_cmp_pd_mask(vp, vq, _CMP_GT_OQ);
-      better[j] |= _mm512_cmp_pd_mask(vp, vq, _CMP_LT_OQ);
-    }
-  }
-  unsigned out = 0;
-  for (unsigned j = 0; j < m; ++j) {
-    if (worse[j] == 0 && better[j] != 0) out |= 1u << j;
-  }
-  return out;
-}
+/// The AVX-512 primitives of src/core/simd_batch.h.
+struct Avx512 {
+  /// Rows interleaved per call, to break the compare->accumulate
+  /// dependence chain.
+  static constexpr unsigned kGroup = 4;
 
-/// D_{q<p[j]} bits plus the q-somewhere-worse flag for one probe row
-/// against up to kGroup pivot rows.
-inline void SubspaceQ4(const Value* q, const Value* const* p, unsigned m,
-                       Dim d, std::uint64_t* out_bits, unsigned* out_worse) {
-  std::uint64_t bits[kGroup] = {0, 0, 0, 0};
-  __mmask8 worse[kGroup] = {0, 0, 0, 0};
-  Dim i = 0;
-  for (; i + 8 <= d; i += 8) {
-    const __m512d vq = _mm512_loadu_pd(q + i);
-    for (unsigned j = 0; j < m; ++j) {
-      const __m512d vp = _mm512_loadu_pd(p[j] + i);
-      bits[j] |= static_cast<std::uint64_t>(
-                     _mm512_cmp_pd_mask(vq, vp, _CMP_LT_OQ))
-                 << i;
-      worse[j] |= _mm512_cmp_pd_mask(vq, vp, _CMP_GT_OQ);
-    }
-  }
-  if (i < d) {
-    const __mmask8 tm = TailMask(d - i);
-    const __m512d vq = _mm512_maskz_loadu_pd(tm, q + i);
-    for (unsigned j = 0; j < m; ++j) {
-      const __m512d vp = _mm512_maskz_loadu_pd(tm, p[j] + i);
-      bits[j] |= static_cast<std::uint64_t>(
-                     _mm512_cmp_pd_mask(vq, vp, _CMP_LT_OQ))
-                 << i;
-      worse[j] |= _mm512_cmp_pd_mask(vq, vp, _CMP_GT_OQ);
-    }
-  }
-  for (unsigned j = 0; j < m; ++j) {
-    out_bits[j] = bits[j];
-    out_worse[j] = worse[j] != 0 ? 1u : 0u;
-  }
-}
-
-/// D_{r[j]<pivot} bits plus the r[j]-somewhere-worse flag for up to
-/// kGroup rows against one pivot row — the Merge inner-loop shape.
-inline void SubspaceRow4(const Value* const* r, unsigned m, const Value* p,
-                         Dim d, std::uint64_t* out_bits, unsigned* out_worse) {
-  std::uint64_t bits[kGroup] = {0, 0, 0, 0};
-  __mmask8 worse[kGroup] = {0, 0, 0, 0};
-  Dim i = 0;
-  for (; i + 8 <= d; i += 8) {
-    const __m512d vp = _mm512_loadu_pd(p + i);
-    for (unsigned j = 0; j < m; ++j) {
-      const __m512d vr = _mm512_loadu_pd(r[j] + i);
-      bits[j] |= static_cast<std::uint64_t>(
-                     _mm512_cmp_pd_mask(vr, vp, _CMP_LT_OQ))
-                 << i;
-      worse[j] |= _mm512_cmp_pd_mask(vr, vp, _CMP_GT_OQ);
-    }
-  }
-  if (i < d) {
-    const __mmask8 tm = TailMask(d - i);
-    const __m512d vp = _mm512_maskz_loadu_pd(tm, p + i);
-    for (unsigned j = 0; j < m; ++j) {
-      const __m512d vr = _mm512_maskz_loadu_pd(tm, r[j] + i);
-      bits[j] |= static_cast<std::uint64_t>(
-                     _mm512_cmp_pd_mask(vr, vp, _CMP_LT_OQ))
-                 << i;
-      worse[j] |= _mm512_cmp_pd_mask(vr, vp, _CMP_GT_OQ);
-    }
-  }
-  for (unsigned j = 0; j < m; ++j) {
-    out_bits[j] = bits[j];
-    out_worse[j] = worse[j] != 0 ? 1u : 0u;
-  }
-}
-
-/// Quantized reject test: one 64-lane unsigned byte compare over the
-/// whole quantized row (neutral zero padding on both sides).
-inline bool QuantWorseSomewhere(const std::uint8_t* s, const std::uint8_t* q) {
-  const __m512i vs = _mm512_load_si512(s);
-  const __m512i vq = _mm512_load_si512(q);
-  return _mm512_cmpgt_epu8_mask(vs, vq) != 0;
-}
-
-BatchProbeResult DominatesAnyAvx512(const AlignedDataset& rows,
-                                    std::span<const PointId> ids,
-                                    const Value* q_row, Dim d, PointId skip,
-                                    bool prefilter) {
-  BatchProbeResult r;
-  alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kQuantStride];
-  // The prefilter engages lazily, after the first exact group fails:
-  // probes resolved within kGroup pivots (the common case on
-  // correlated data and for dominated-heavy streams) never pay for
-  // quantizing the probe row. Engagement timing is invisible in the
-  // results — a quantized reject is sound whenever it fires.
-  bool use_prefilter = false;
-  bool prefilter_pending = prefilter && rows.has_quantized();
-  // Group-size ramp: the first group tests a single pivot, so a probe
-  // the block's leading pivot resolves (the overwhelmingly common case
-  // on correlated inputs, where blocks are sorted strongest-first)
-  // pays for one row compare instead of kGroup.
-  unsigned target = 1;
-  const std::size_t n = ids.size();
-  std::size_t i = 0;
-  while (i < n) {
-    const Value* prow[kGroup];
-    std::size_t pidx[kGroup];
-    std::uint64_t charge[kGroup];
-    unsigned m = 0;
-    while (i < n && m < target) {
-      const PointId id = ids[i];
-      if (id == skip) {
-        ++i;
-        continue;
+  /// Dominance of up to kGroup pivot rows over one probe row, as a
+  /// bitmask (bit j set iff p[j] dominates q).
+  static unsigned Dominates(const Value* const* p, unsigned m,
+                            const Value* q, Dim d) {
+    __mmask8 worse[kGroup] = {0, 0, 0, 0};
+    __mmask8 better[kGroup] = {0, 0, 0, 0};
+    Dim i = 0;
+    for (; i + 8 <= d; i += 8) {
+      const __m512d vq = _mm512_loadu_pd(q + i);
+      for (unsigned j = 0; j < m; ++j) {
+        const __m512d vp = _mm512_loadu_pd(p[j] + i);
+        worse[j] |= _mm512_cmp_pd_mask(vp, vq, _CMP_GT_OQ);
+        better[j] |= _mm512_cmp_pd_mask(vp, vq, _CMP_LT_OQ);
       }
-      ++r.scanned;
-      // A prefilter reject is a proven non-dominator; it stays charged
-      // (the scalar reference loop would have scanned it) but needs no
-      // exact compare.
-      if (use_prefilter &&
-          QuantWorseSomewhere(rows.qrow_unchecked(id), qbuf)) {
-        ++i;
-        continue;
+    }
+    if (i < d) {
+      const __mmask8 tm = TailMask(d - i);
+      const __m512d vq = _mm512_maskz_loadu_pd(tm, q + i);
+      for (unsigned j = 0; j < m; ++j) {
+        const __m512d vp = _mm512_maskz_loadu_pd(tm, p[j] + i);
+        worse[j] |= _mm512_cmp_pd_mask(vp, vq, _CMP_GT_OQ);
+        better[j] |= _mm512_cmp_pd_mask(vp, vq, _CMP_LT_OQ);
       }
-      prow[m] = rows.row_unchecked(id);
-      pidx[m] = i;
-      charge[m] = r.scanned;
-      ++m;
-      ++i;
     }
-    if (m == 0) break;
-    const unsigned dom = Dominates4(prow, m, q_row, d);
-    target = kGroup;
-    if (dom != 0) {
-      const unsigned j = static_cast<unsigned>(std::countr_zero(dom));
-      r.first = pidx[j];
-      // Roll the charge back to the scalar early-exit point: pivots
-      // collected after the first dominator were never scanned by the
-      // reference loop.
-      r.scanned = charge[j];
-      return r;
+    unsigned out = 0;
+    for (unsigned j = 0; j < m; ++j) {
+      if (worse[j] == 0 && better[j] != 0) out |= 1u << j;
     }
-    if (prefilter_pending) {
-      prefilter_pending = false;
-      use_prefilter = rows.QuantizeRow(q_row, qbuf);
+    return out;
+  }
+
+  /// D_{a<b} bits plus the a-somewhere-worse flag for the pairs
+  /// (a, b) = (shared, rows[j]) when kSharedFirst, else (rows[j], shared).
+  template <bool kSharedFirst>
+  static void Masks(const Value* shared, const Value* const* rows,
+                    unsigned m, Dim d, std::uint64_t* out_bits,
+                    unsigned* out_worse) {
+    std::uint64_t bits[kGroup] = {0, 0, 0, 0};
+    __mmask8 worse[kGroup] = {0, 0, 0, 0};
+    Dim i = 0;
+    for (; i + 8 <= d; i += 8) {
+      const __m512d vs = _mm512_loadu_pd(shared + i);
+      for (unsigned j = 0; j < m; ++j) {
+        const __m512d vr = _mm512_loadu_pd(rows[j] + i);
+        const __m512d va = kSharedFirst ? vs : vr;
+        const __m512d vb = kSharedFirst ? vr : vs;
+        bits[j] |=
+            static_cast<std::uint64_t>(_mm512_cmp_pd_mask(va, vb, _CMP_LT_OQ))
+            << i;
+        worse[j] |= _mm512_cmp_pd_mask(va, vb, _CMP_GT_OQ);
+      }
+    }
+    if (i < d) {
+      const __mmask8 tm = TailMask(d - i);
+      const __m512d vs = _mm512_maskz_loadu_pd(tm, shared + i);
+      for (unsigned j = 0; j < m; ++j) {
+        const __m512d vr = _mm512_maskz_loadu_pd(tm, rows[j] + i);
+        const __m512d va = kSharedFirst ? vs : vr;
+        const __m512d vb = kSharedFirst ? vr : vs;
+        bits[j] |=
+            static_cast<std::uint64_t>(_mm512_cmp_pd_mask(va, vb, _CMP_LT_OQ))
+            << i;
+        worse[j] |= _mm512_cmp_pd_mask(va, vb, _CMP_GT_OQ);
+      }
+    }
+    for (unsigned j = 0; j < m; ++j) {
+      out_bits[j] = bits[j];
+      out_worse[j] = worse[j] != 0 ? 1u : 0u;
     }
   }
-  return r;
-}
 
-BatchSubspaceResult DominatingSubspaceBatchAvx512(
-    const AlignedDataset& rows, std::span<const PointId> ids,
-    const Value* q_row, Dim d, PointId skip) {
-  BatchSubspaceResult r;
-  const std::size_t n = ids.size();
-  std::size_t i = 0;
-  while (i < n) {
-    const Value* prow[kGroup];
-    std::size_t pidx[kGroup];
-    unsigned m = 0;
-    while (i < n && m < kGroup) {
-      const PointId id = ids[i];
-      if (id == skip) {
-        ++i;
-        continue;
-      }
-      prow[m] = rows.row_unchecked(id);
-      pidx[m] = i;
-      ++m;
-      ++i;
-    }
-    if (m == 0) break;
-    std::uint64_t bits[kGroup];
-    unsigned worse[kGroup];
-    SubspaceQ4(q_row, prow, m, d, bits, worse);
-    // Fold in block order; charges accrue here (not at collection) so
-    // pivots past an eliminating one stay uncharged.
-    for (unsigned j = 0; j < m; ++j) {
-      ++r.scanned;
-      if (bits[j] == 0 && worse[j] != 0) {
-        r.dominated_by = pidx[j];
-        return r;
-      }
-      r.mask |= Subspace(bits[j]);
-    }
+  /// Quantized reject test: one 64-lane unsigned byte compare over the
+  /// whole quantized row (neutral zero padding on both sides).
+  static bool QuantWorseSomewhere(const std::uint8_t* s,
+                                  const std::uint8_t* q) {
+    const __m512i vs = _mm512_load_si512(s);
+    const __m512i vq = _mm512_load_si512(q);
+    return _mm512_cmpgt_epu8_mask(vs, vq) != 0;
   }
-  return r;
-}
-
-void DominatingSubspaceExBatchAvx512(const AlignedDataset& rows,
-                                     std::span<const std::uint32_t> row_ids,
-                                     const Value* pivot_row, Dim d,
-                                     Subspace* out_masks,
-                                     std::uint8_t* out_worse) {
-  const std::size_t n = row_ids.size();
-  for (std::size_t i = 0; i < n; i += kGroup) {
-    const unsigned m =
-        static_cast<unsigned>(n - i < kGroup ? n - i : kGroup);
-    const Value* rrow[kGroup];
-    for (unsigned j = 0; j < m; ++j) {
-      rrow[j] = rows.row_unchecked(row_ids[i + j]);
-    }
-    std::uint64_t bits[kGroup];
-    unsigned worse[kGroup];
-    SubspaceRow4(rrow, m, pivot_row, d, bits, worse);
-    for (unsigned j = 0; j < m; ++j) {
-      out_masks[i + j] = Subspace(bits[j]);
-      out_worse[i + j] = worse[j] != 0 ? 1 : 0;
-    }
-  }
-}
-
-const KernelOps kAvx512OpsTable = {
-    &DominatesAnyAvx512,
-    &DominatingSubspaceBatchAvx512,
-    &DominatingSubspaceExBatchAvx512,
 };
 
 }  // namespace
 
-const KernelOps* Avx512Ops() { return &kAvx512OpsTable; }
+const KernelOps* Avx512Ops() { return &kBatchOps<Avx512>; }
 
 }  // namespace simd
 }  // namespace kernels

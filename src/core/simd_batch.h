@@ -1,0 +1,178 @@
+// Batched loops of the explicit-SIMD kernel backends, written once over
+// a per-ISA primitive struct. src/core/simd_avx2.cc and
+// src/core/simd_avx512.cc each define their primitives as a struct in
+// their own unnamed namespace and instantiate these templates inside
+// their own -m-flagged translation unit. Every instantiation therefore
+// has internal linkage: no vector instruction can end up behind a
+// symbol that a baseline-ISA translation unit links against. This
+// header holds no intrinsics (scripts/check_invariants.py R7) and is
+// included only by those two backends.
+//
+// The primitive struct `Isa` supplies:
+//
+//   kGroup               rows interleaved per primitive call (the
+//                        ISA's register budget); m <= kGroup below.
+//   Dominates(p, m, q, d)
+//                        bit j set iff row p[j] dominates row q.
+//   Masks<kSharedFirst>(shared, rows, m, d, bits, worse)
+//                        for each j < m, the D_{a<b} bits and the
+//                        a-strictly-worse-somewhere flag of the pair
+//                        (a, b) = (shared, rows[j]) when kSharedFirst,
+//                        (rows[j], shared) otherwise.
+//   QuantWorseSomewhere(s, q)
+//                        true iff quantized line s is above line q in
+//                        some byte (a sound non-dominance proof).
+//
+// The loops implement the semantics contract of src/core/kernels.h:
+// results, early-exit points and `scanned` charges identical to the
+// scalar reference loops of src/core/simd_scalar.cc.
+#ifndef SKYLINE_CORE_SIMD_BATCH_H_
+#define SKYLINE_CORE_SIMD_BATCH_H_
+
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <span>
+
+#include "src/core/aligned_dataset.h"
+#include "src/core/simd_dispatch.h"
+#include "src/core/subspace.h"
+#include "src/core/types.h"
+
+namespace skyline {
+namespace kernels {
+namespace simd {
+
+template <class Isa>
+BatchProbeResult DominatesAny(const AlignedDataset& rows,
+                              std::span<const PointId> ids,
+                              const Value* q_row, Dim d, bool prefilter) {
+  constexpr unsigned kGroup = Isa::kGroup;
+  BatchProbeResult r;
+  alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kQuantStride];
+  // The prefilter engages lazily, after the first exact group fails:
+  // probes resolved within kGroup pivots (the common case on
+  // correlated data and for dominated-heavy streams) never pay for
+  // quantizing the probe row. Engagement timing is invisible in the
+  // results — a quantized reject is sound whenever it fires.
+  bool use_prefilter = false;
+  bool prefilter_pending = prefilter && rows.has_quantized();
+  // Group-size ramp: the first group tests a single pivot, so a probe
+  // the block's leading pivot resolves (the overwhelmingly common case
+  // on correlated inputs, where blocks are sorted strongest-first)
+  // pays for one row compare instead of kGroup.
+  unsigned target = 1;
+  const std::size_t n = ids.size();
+  std::size_t i = 0;
+  while (i < n) {
+    const Value* prow[kGroup];
+    std::size_t pidx[kGroup];
+    std::uint64_t charge[kGroup];
+    unsigned m = 0;
+    while (i < n && m < target) {
+      const PointId id = ids[i];
+      ++r.scanned;
+      // A prefilter reject is a proven non-dominator; it stays charged
+      // (the scalar reference loop would have scanned it) but needs no
+      // exact compare.
+      if (use_prefilter &&
+          Isa::QuantWorseSomewhere(rows.qrow_unchecked(id), qbuf)) {
+        ++i;
+        continue;
+      }
+      prow[m] = rows.row_unchecked(id);
+      pidx[m] = i;
+      charge[m] = r.scanned;
+      ++m;
+      ++i;
+    }
+    if (m == 0) break;
+    const unsigned dom = Isa::Dominates(prow, m, q_row, d);
+    target = kGroup;
+    if (dom != 0) {
+      const unsigned j = static_cast<unsigned>(std::countr_zero(dom));
+      r.first = pidx[j];
+      // Roll the charge back to the scalar early-exit point: pivots
+      // collected after the first dominator were never scanned by the
+      // reference loop.
+      r.scanned = charge[j];
+      return r;
+    }
+    if (prefilter_pending) {
+      prefilter_pending = false;
+      use_prefilter = rows.QuantizeRow(q_row, qbuf);
+    }
+  }
+  return r;
+}
+
+template <class Isa>
+BatchSubspaceResult DominatingSubspaceBatch(const AlignedDataset& rows,
+                                            std::span<const PointId> ids,
+                                            const Value* q_row, Dim d) {
+  constexpr unsigned kGroup = Isa::kGroup;
+  BatchSubspaceResult r;
+  const std::size_t n = ids.size();
+  for (std::size_t i = 0; i < n; i += kGroup) {
+    const unsigned m =
+        static_cast<unsigned>(n - i < kGroup ? n - i : kGroup);
+    const Value* prow[kGroup];
+    for (unsigned j = 0; j < m; ++j) {
+      prow[j] = rows.row_unchecked(ids[i + j]);
+    }
+    std::uint64_t bits[kGroup];
+    unsigned worse[kGroup];
+    Isa::template Masks</*kSharedFirst=*/true>(q_row, prow, m, d, bits,
+                                               worse);
+    // Fold in block order; charges accrue here (not at collection) so
+    // pivots past an eliminating one stay uncharged.
+    for (unsigned j = 0; j < m; ++j) {
+      ++r.scanned;
+      if (bits[j] == 0 && worse[j] != 0) {
+        r.dominated_by = i + j;
+        return r;
+      }
+      r.mask |= Subspace(bits[j]);
+    }
+  }
+  return r;
+}
+
+template <class Isa>
+void DominatingSubspaceExBatch(const AlignedDataset& rows,
+                               std::span<const std::uint32_t> row_ids,
+                               const Value* pivot_row, Dim d,
+                               Subspace* out_masks, std::uint8_t* out_worse) {
+  constexpr unsigned kGroup = Isa::kGroup;
+  const std::size_t n = row_ids.size();
+  for (std::size_t i = 0; i < n; i += kGroup) {
+    const unsigned m =
+        static_cast<unsigned>(n - i < kGroup ? n - i : kGroup);
+    const Value* rrow[kGroup];
+    for (unsigned j = 0; j < m; ++j) {
+      rrow[j] = rows.row_unchecked(row_ids[i + j]);
+    }
+    std::uint64_t bits[kGroup];
+    unsigned worse[kGroup];
+    Isa::template Masks</*kSharedFirst=*/false>(pivot_row, rrow, m, d, bits,
+                                                worse);
+    for (unsigned j = 0; j < m; ++j) {
+      out_masks[i + j] = Subspace(bits[j]);
+      out_worse[i + j] = worse[j] != 0 ? 1 : 0;
+    }
+  }
+}
+
+/// The ops table of backend `Isa`.
+template <class Isa>
+inline constexpr KernelOps kBatchOps = {
+    &DominatesAny<Isa>,
+    &DominatingSubspaceBatch<Isa>,
+    &DominatingSubspaceExBatch<Isa>,
+};
+
+}  // namespace simd
+}  // namespace kernels
+}  // namespace skyline
+
+#endif  // SKYLINE_CORE_SIMD_BATCH_H_

@@ -2,7 +2,8 @@
 // shared by every ISA backend, the function-pointer table the runtime
 // dispatcher (src/core/cpu.h) resolves once per process, and the
 // per-ISA entry points implemented in src/core/simd_{scalar,avx2,
-// avx512}.cc.
+// avx512}.cc (the AVX2 and AVX-512 ones instantiated from the shared
+// loops of src/core/simd_batch.h).
 //
 // Layering contract (enforced by scripts/check_invariants.py R7): raw
 // intrinsics live ONLY in src/core/simd_*.cc. Everything else — the
@@ -42,8 +43,8 @@ struct BatchProbeResult {
   std::size_t first = kNoDominator;
 
   /// Dominance tests a scalar early-exit loop would have charged:
-  /// the number of non-skipped pivots up to and including the first
-  /// dominator, or all non-skipped pivots when none dominates.
+  /// the number of pivots up to and including the first dominator, or
+  /// all pivots when none dominates.
   std::uint64_t scanned = 0;
 };
 
@@ -58,7 +59,7 @@ struct BatchSubspaceResult {
 
   /// Pivots charged, with the same early-exit semantics as a scalar
   /// fold: everything up to and including `dominated_by`, or all
-  /// non-skipped pivots.
+  /// pivots.
   std::uint64_t scanned = 0;
 };
 
@@ -70,12 +71,10 @@ namespace simd {
 struct KernelOps {
   BatchProbeResult (*dominates_any)(const AlignedDataset& rows,
                                     std::span<const PointId> ids,
-                                    const Value* q_row, Dim d, PointId skip,
-                                    bool prefilter);
+                                    const Value* q_row, Dim d, bool prefilter);
   BatchSubspaceResult (*dominating_subspace_batch)(const AlignedDataset& rows,
                                                    std::span<const PointId> ids,
-                                                   const Value* q_row, Dim d,
-                                                   PointId skip);
+                                                   const Value* q_row, Dim d);
   void (*dominating_subspace_ex_batch)(const AlignedDataset& rows,
                                        std::span<const std::uint32_t> row_ids,
                                        const Value* pivot_row, Dim d,

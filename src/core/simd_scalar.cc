@@ -39,14 +39,12 @@ bool QuantWorseSomewhere(const std::uint8_t* SKYLINE_RESTRICT s,
 
 BatchProbeResult DominatesAnyScalar(const AlignedDataset& rows,
                                     std::span<const PointId> ids,
-                                    const Value* q_row, Dim d, PointId skip,
-                                    bool prefilter) {
+                                    const Value* q_row, Dim d, bool prefilter) {
   BatchProbeResult r;
   alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kQuantStride];
   const bool use_prefilter =
       prefilter && rows.has_quantized() && rows.QuantizeRow(q_row, qbuf);
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (ids[i] == skip) continue;
     ++r.scanned;
     // A prefilter reject still charges: the scalar reference loop
     // would have scanned this pivot (and found it non-dominating).
@@ -64,11 +62,9 @@ BatchProbeResult DominatesAnyScalar(const AlignedDataset& rows,
 
 BatchSubspaceResult DominatingSubspaceBatchScalar(const AlignedDataset& rows,
                                                   std::span<const PointId> ids,
-                                                  const Value* q_row, Dim d,
-                                                  PointId skip) {
+                                                  const Value* q_row, Dim d) {
   BatchSubspaceResult r;
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (ids[i] == skip) continue;
     ++r.scanned;
     bool q_worse = false;
     const Subspace m =

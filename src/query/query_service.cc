@@ -86,7 +86,6 @@ QueryService::QueryService(const Dataset& data, QueryServiceOptions options)
   std::uint64_t tests = 0;
   auto entry = std::make_shared<Entry>(/*pinned_entry=*/true, /*entry_epoch=*/0);
   std::vector<PointId> ids = ComputeCold(*v0, full, &tests);
-  const std::size_t num_ids = ids.size();
   cold_tests_.fetch_add(tests, std::memory_order_relaxed);
   entry->last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
                          std::memory_order_relaxed);
@@ -95,7 +94,6 @@ QueryService::QueryService(const Dataset& data, QueryServiceOptions options)
   // the guarded-field discipline uniform (and is uncontended here).
   WriterLock lock(cache_mu_);
   pinned_entries_ = 1;
-  pinned_ids_ = num_ids;
   cache_.emplace(full.bits(), std::move(entry));
 }
 
@@ -254,8 +252,12 @@ QueryService::EntryPtr QueryService::MakeReadyEntry(bool pinned,
 std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
                                         std::span<const PointId> removes) {
   const Dim d = num_dims_;
-  SKYLINE_ASSERT(inserts.size() % d == 0,
-                 "ApplyUpdate: inserts must be k * num_dims values");
+  // The batch is caller input, so it is checked in every build type; a
+  // bad one aborts before any state changes.
+  if (inserts.size() % d != 0) {
+    SKYLINE_CONTRACT_VIOLATION(
+        "ApplyUpdate: inserts must be k * num_dims values");
+  }
   const std::size_t num_inserts = inserts.size() / d;
   if (num_inserts == 0 && removes.empty()) {
     ReaderLock lock(cache_mu_);
@@ -268,27 +270,33 @@ std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
     WriterLock lock(cache_mu_);
     const DatasetVersionPtr old = version_;
     auto next = std::make_shared<DatasetVersion>();
+    const PointId first_inserted =
+        static_cast<PointId>(old->data.num_points());
     // Rows and live flags are each copied once, into buffers sized for
-    // the inserted rows up front.
+    // the inserted rows up front. The flags come first: tombstoning in
+    // the copy checks each remove id, repeats included, before any row
+    // is copied.
+    next->live.reserve(old->live.size() + num_inserts);
+    next->live.assign(old->live.begin(), old->live.end());
+    for (PointId r : removes) {
+      if (r >= first_inserted) {
+        SKYLINE_CONTRACT_VIOLATION(
+            "ApplyUpdate: remove id out of range or from this batch");
+      }
+      if (next->live[r] == 0) {
+        SKYLINE_CONTRACT_VIOLATION(
+            "ApplyUpdate: remove of an already-removed or repeated id");
+      }
+      next->live[r] = 0;
+    }
+    next->live.resize(old->live.size() + num_inserts, 1);
     const std::vector<Value>& old_values = old->data.values();
     std::vector<Value> values;
     values.reserve(old_values.size() + inserts.size());
     values.insert(values.end(), old_values.begin(), old_values.end());
     values.insert(values.end(), inserts.begin(), inserts.end());
     next->data = Dataset(d, std::move(values));
-    next->live.reserve(old->live.size() + num_inserts);
-    next->live.assign(old->live.begin(), old->live.end());
-    next->live.resize(old->live.size() + num_inserts, 1);
     next->epoch = old->epoch + 1;
-    const PointId first_inserted =
-        static_cast<PointId>(old->data.num_points());
-    for (PointId r : removes) {
-      SKYLINE_ASSERT(r < first_inserted,
-                     "ApplyUpdate: remove id out of range or from this batch");
-      SKYLINE_ASSERT(next->live[r] != 0,
-                     "ApplyUpdate: remove of an already-removed point");
-      next->live[r] = 0;
-    }
     next->has_removed = old->has_removed || !removes.empty();
     next->num_live = old->num_live + num_inserts - removes.size();
     next->set_distinct_dims(
@@ -319,27 +327,19 @@ std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
       if (TryRepair(*next, v, first_inserted, removes, &ids, &tests)) {
         // Published id lists are immutable, so a repair installs a
         // replacement entry re-stamped with the new epoch.
-        const std::size_t new_size = ids.size();
+        if (!entry->pinned) cached_ids_ = cached_ids_ - old_size + ids.size();
         it->second = MakeReadyEntry(
             entry->pinned, next->epoch,
             entry->last_used.load(std::memory_order_relaxed), std::move(ids));
-        if (entry->pinned) {
-          pinned_ids_ = pinned_ids_ - old_size + new_size;
-        } else {
-          cached_ids_ = cached_ids_ - old_size + new_size;
-        }
         repaired_.fetch_add(1, std::memory_order_relaxed);
       } else if (entry->pinned) {
         // The pinned full-space seed lost a member: recompute it
         // eagerly (under the lock) so every future miss still has a
         // universal current-epoch seed.
-        std::vector<PointId> fresh = ComputeCold(*next, v, &tests);
-        const std::size_t new_size = fresh.size();
         it->second = MakeReadyEntry(
             /*pinned=*/true, next->epoch,
             clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-            std::move(fresh));
-        pinned_ids_ = pinned_ids_ - old_size + new_size;
+            ComputeCold(*next, v, &tests));
         pinned_recomputes_.fetch_add(1, std::memory_order_relaxed);
       } else {
         // Unrepairable: left in the map stamped with the old epoch.

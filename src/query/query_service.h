@@ -223,12 +223,14 @@ class QueryService {
   /// Applies a batch of mutations: `inserts` is a row-major block of
   /// k * num_dims() values appended as k new points (their ids are
   /// returned epochs' num_points(), ascending); `removes` tombstones
-  /// existing live points (each id must be live and predate this
-  /// batch). Bumps the epoch, repairs or invalidates cached cuboids
-  /// (see the header comment), and keeps the pinned full-space seed
-  /// current. Returns the new epoch (the unchanged one for an empty
-  /// batch, which is a no-op). Serializes against claims/publications
-  /// via the cache lock; safe to call concurrently with Query.
+  /// existing live points (each id must be live, predate this batch and
+  /// appear once). A batch that breaks these rules, or holds a partial
+  /// row, is a contract violation in every build type. Bumps the epoch,
+  /// repairs or invalidates cached cuboids (see the header comment), and
+  /// keeps the pinned full-space seed current. Returns the new epoch
+  /// (the unchanged one for an empty batch, which is a no-op).
+  /// Serializes against claims/publications via the cache lock; safe to
+  /// call concurrently with Query.
   std::uint64_t ApplyUpdate(std::span<const Value> inserts,
                             std::span<const PointId> removes)
       SKYLINE_EXCLUDES(cache_mu_);
@@ -389,7 +391,6 @@ class QueryService {
   std::size_t cached_ids_ SKYLINE_GUARDED_BY(cache_mu_) = 0;
   /// Ready pinned entries.
   std::size_t pinned_entries_ SKYLINE_GUARDED_BY(cache_mu_) = 0;
-  std::size_t pinned_ids_ SKYLINE_GUARDED_BY(cache_mu_) = 0;
 
   std::atomic<std::uint64_t> clock_{0};  ///< LRU stamp source.
 

@@ -10,6 +10,7 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -150,16 +151,12 @@ TEST(KernelDifferentialTest, DominatesAnyMatchesScalarLoopAndCharge) {
       std::vector<PointId> candidates(rng() % 12);
       for (PointId& c : candidates) c = static_cast<PointId>(rng() % n);
       const PointId q = static_cast<PointId>(rng() % n);
-      const PointId skip = (trial % 3 == 0) && !candidates.empty()
-                               ? candidates[rng() % candidates.size()]
-                               : kInvalidPoint;
 
       // Scalar reference: early-exit loop with one charge per pivot
       // scanned, the contract the batched kernel must reproduce.
       std::size_t scalar_first = kernels::kNoDominator;
       std::uint64_t scalar_scanned = 0;
       for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (candidates[i] == skip) continue;
         ++scalar_scanned;
         if (Dominates(data.row(candidates[i]), data.row(q), d)) {
           scalar_first = i;
@@ -168,7 +165,7 @@ TEST(KernelDifferentialTest, DominatesAnyMatchesScalarLoopAndCharge) {
       }
 
       const kernels::BatchProbeResult r =
-          kernels::DominatesAny(aligned, candidates, aligned.row(q), d, skip);
+          kernels::DominatesAny(aligned, candidates, aligned.row(q), d);
       EXPECT_EQ(r.first, scalar_first) << "d=" << d << " trial=" << trial;
       EXPECT_EQ(r.scanned, scalar_scanned) << "d=" << d << " trial=" << trial;
     }
@@ -185,14 +182,11 @@ TEST(KernelDifferentialTest, DominatingSubspaceBatchMatchesScalarFold) {
       std::vector<PointId> pivots(rng() % 12);
       for (PointId& p : pivots) p = static_cast<PointId>(rng() % n);
       const PointId q = static_cast<PointId>(rng() % n);
-      const PointId skip =
-          (trial % 3 == 0) ? static_cast<PointId>(rng() % n) : kInvalidPoint;
 
       Subspace scalar_mask;
       std::size_t scalar_dominated_by = kernels::kNoDominator;
       std::uint64_t scalar_scanned = 0;
       for (std::size_t i = 0; i < pivots.size(); ++i) {
-        if (pivots[i] == skip) continue;
         ++scalar_scanned;
         bool worse = false;
         const Subspace m =
@@ -204,8 +198,8 @@ TEST(KernelDifferentialTest, DominatingSubspaceBatchMatchesScalarFold) {
         scalar_mask |= m;
       }
 
-      const kernels::BatchSubspaceResult r = kernels::DominatingSubspaceBatch(
-          aligned, pivots, aligned.row(q), d, skip);
+      const kernels::BatchSubspaceResult r =
+          kernels::DominatingSubspaceBatch(aligned, pivots, aligned.row(q), d);
       EXPECT_EQ(r.dominated_by, scalar_dominated_by)
           << "d=" << d << " trial=" << trial;
       EXPECT_EQ(r.scanned, scalar_scanned) << "d=" << d << " trial=" << trial;
@@ -221,8 +215,10 @@ TEST(KernelDifferentialTest, DominatingSubspaceExBatchMatchesPairKernel) {
     const std::size_t n = 48;
     const Dataset data = TieHeavyDataset(n, d, 6000 + d);
     const AlignedDataset aligned(data);
+    // 27 rows: the last 4-row group holds 3.
     std::vector<std::uint32_t> rows;
     for (std::uint32_t i = 0; i < n; i += 2) rows.push_back(i);
+    rows.insert(rows.end(), {1, 3, 5});
     for (PointId pivot = 0; pivot < 8; ++pivot) {
       std::vector<Subspace> masks(rows.size());
       std::vector<std::uint8_t> worse(rows.size());
@@ -313,12 +309,10 @@ TEST(KernelDifferentialTest, SingleDimensionAndMaxDimensionEdges) {
 /// Scalar early-exit DominatesAny reference (result + charge).
 void ScalarDominatesAny(const Dataset& data,
                         const std::vector<PointId>& candidates, PointId q,
-                        Dim d, PointId skip, std::size_t* first,
-                        std::uint64_t* scanned) {
+                        Dim d, std::size_t* first, std::uint64_t* scanned) {
   *first = kernels::kNoDominator;
   *scanned = 0;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (candidates[i] == skip) continue;
     ++*scanned;
     if (Dominates(data.row(candidates[i]), data.row(q), d)) {
       *first = i;
@@ -330,13 +324,12 @@ void ScalarDominatesAny(const Dataset& data,
 /// Scalar mask-fold reference for DominatingSubspaceBatch.
 void ScalarSubspaceFold(const Dataset& data,
                         const std::vector<PointId>& pivots, PointId q, Dim d,
-                        PointId skip, Subspace* mask,
-                        std::size_t* dominated_by, std::uint64_t* scanned) {
+                        Subspace* mask, std::size_t* dominated_by,
+                        std::uint64_t* scanned) {
   *mask = Subspace{};
   *dominated_by = kernels::kNoDominator;
   *scanned = 0;
   for (std::size_t i = 0; i < pivots.size(); ++i) {
-    if (pivots[i] == skip) continue;
     ++*scanned;
     bool worse = false;
     const Subspace m =
@@ -349,9 +342,9 @@ void ScalarSubspaceFold(const Dataset& data,
   }
 }
 
-/// Runs the full batched differential (both batch kernels, random
-/// candidate lists with duplicates and skips) for one backend and
-/// prefilter setting against one dataset.
+/// Runs the full batched differential (all three batch kernels, random
+/// candidate lists with duplicates) for one backend and prefilter
+/// setting against one dataset.
 void CheckBackendAgainstScalar(const kernels::simd::KernelOps& ops,
                                const char* isa, bool prefilter,
                                const Dataset& data,
@@ -363,17 +356,12 @@ void CheckBackendAgainstScalar(const kernels::simd::KernelOps& ops,
     std::vector<PointId> candidates(rng() % 20);
     for (PointId& c : candidates) c = static_cast<PointId>(rng() % n);
     const PointId q = static_cast<PointId>(rng() % n);
-    const PointId skip = (trial % 3 == 0) && !candidates.empty()
-                             ? candidates[rng() % candidates.size()]
-                             : kInvalidPoint;
 
     std::size_t want_first;
     std::uint64_t want_scanned;
-    ScalarDominatesAny(data, candidates, q, d, skip, &want_first,
-                       &want_scanned);
+    ScalarDominatesAny(data, candidates, q, d, &want_first, &want_scanned);
     const kernels::BatchProbeResult probe =
-        ops.dominates_any(aligned, candidates, aligned.row(q), d, skip,
-                          prefilter);
+        ops.dominates_any(aligned, candidates, aligned.row(q), d, prefilter);
     EXPECT_EQ(probe.first, want_first)
         << isa << " prefilter=" << prefilter << " d=" << d
         << " trial=" << trial;
@@ -383,10 +371,10 @@ void CheckBackendAgainstScalar(const kernels::simd::KernelOps& ops,
 
     Subspace want_mask;
     std::size_t want_dom;
-    ScalarSubspaceFold(data, candidates, q, d, skip, &want_mask, &want_dom,
+    ScalarSubspaceFold(data, candidates, q, d, &want_mask, &want_dom,
                        &want_scanned);
-    const kernels::BatchSubspaceResult fold = ops.dominating_subspace_batch(
-        aligned, candidates, aligned.row(q), d, skip);
+    const kernels::BatchSubspaceResult fold =
+        ops.dominating_subspace_batch(aligned, candidates, aligned.row(q), d);
     EXPECT_EQ(fold.dominated_by, want_dom)
         << isa << " d=" << d << " trial=" << trial;
     EXPECT_EQ(fold.scanned, want_scanned)
@@ -397,28 +385,43 @@ void CheckBackendAgainstScalar(const kernels::simd::KernelOps& ops,
     }
   }
 
-  // The one-vs-many Ex form (Merge inner loop) per backend.
+  // The one-vs-many Ex form (Merge inner loop) per backend, over row
+  // counts whose last 4-row group holds 1, 2, 3 and 4 rows. Outputs
+  // past the count must stay untouched.
   std::vector<std::uint32_t> rows;
   for (std::uint32_t i = 0; i < n; i += 3) rows.push_back(i);
+  const Subspace untouched(~std::uint64_t{0});
   std::vector<Subspace> masks(rows.size());
   std::vector<std::uint8_t> worse(rows.size());
-  for (PointId pivot = 0; pivot < std::min<std::size_t>(n, 6); ++pivot) {
-    ops.dominating_subspace_ex_batch(aligned, rows, aligned.row(pivot), d,
-                                     masks.data(), worse.data());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      bool scalar_worse = false;
-      const Subspace m = DominatingSubspaceEx(data.row(rows[i]),
-                                              data.row(pivot), d,
-                                              &scalar_worse);
-      EXPECT_EQ(masks[i], m) << isa << " d=" << d << " i=" << i;
-      EXPECT_EQ(worse[i] != 0, scalar_worse)
-          << isa << " d=" << d << " i=" << i;
+  for (std::size_t count = rows.size() - 3; count <= rows.size(); ++count) {
+    const std::span<const std::uint32_t> batch(rows.data(), count);
+    for (PointId pivot = 0; pivot < std::min<std::size_t>(n, 6); ++pivot) {
+      std::fill(masks.begin(), masks.end(), untouched);
+      ops.dominating_subspace_ex_batch(aligned, batch, aligned.row(pivot), d,
+                                       masks.data(), worse.data());
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (i >= count) {
+          EXPECT_EQ(masks[i], untouched)
+              << isa << " d=" << d << " count=" << count << " i=" << i;
+          continue;
+        }
+        bool scalar_worse = false;
+        const Subspace m = DominatingSubspaceEx(
+            data.row(rows[i]), data.row(pivot), d, &scalar_worse);
+        EXPECT_EQ(masks[i], m)
+            << isa << " d=" << d << " count=" << count << " i=" << i;
+        EXPECT_EQ(worse[i] != 0, scalar_worse)
+            << isa << " d=" << d << " count=" << count << " i=" << i;
+      }
     }
   }
 }
 
 TEST(KernelDifferentialTest, EveryBackendMatchesScalarWithPoisonedPadding) {
-  for (Dim d : {Dim{1}, Dim{4}, Dim{8}, Dim{13}, Dim{24}, Dim{64}}) {
+  // Every AVX2 tail width (d mod 4) and AVX-512 tail width (d mod 8),
+  // with and without whole chunks before the tail.
+  for (Dim d : {Dim{1}, Dim{2}, Dim{3}, Dim{4}, Dim{6}, Dim{7}, Dim{8},
+                Dim{13}, Dim{15}, Dim{18}, Dim{24}, Dim{64}}) {
     const std::size_t n = 72;
     const Dataset data = TieHeavyDataset(n, d, 8000 + d);
     AlignedDataset aligned(data);
@@ -551,7 +554,7 @@ TEST(KernelDifferentialTest, NonFiniteProbeSkipsPrefilterButStaysExact) {
       const kernels::simd::KernelOps* ops = cpu::OpsFor(level);
       if (ops == nullptr) continue;
       const kernels::BatchProbeResult r = ops->dominates_any(
-          aligned, all, probe.data(), d, kInvalidPoint, /*prefilter=*/true);
+          aligned, all, probe.data(), d, /*prefilter=*/true);
       EXPECT_EQ(r.first, want_first) << cpu::IsaName(level);
       EXPECT_EQ(r.scanned, want_scanned) << cpu::IsaName(level);
     }
@@ -574,8 +577,7 @@ TEST(KernelDifferentialTest, NonFiniteDatasetHasNoQuantizedPlane) {
   for (PointId q = 0; q < aligned.num_rows(); ++q) {
     std::size_t want_first;
     std::uint64_t want_scanned;
-    ScalarDominatesAny(data, all, q, d, kInvalidPoint, &want_first,
-                       &want_scanned);
+    ScalarDominatesAny(data, all, q, d, &want_first, &want_scanned);
     const kernels::BatchProbeResult r =
         kernels::DominatesAny(aligned, all, aligned.row(q), d);
     EXPECT_EQ(r.first, want_first) << "q=" << q;
