@@ -130,13 +130,11 @@ double MsBetween(Clock::time_point from, Clock::time_point to) {
 }
 
 /// The miss-heavy batching configuration shared by the deterministic
-/// and the open-loop runs: unpinned, a cache smaller than the lattice,
-/// union seeding on.
+/// and the open-loop runs: unpinned (so union seeding can fire) and a
+/// cache smaller than the lattice.
 ServerOptions BatchedOptions(bool quick, std::size_t num_requests) {
   ServerOptions options;
   options.queue_capacity = num_requests;
-  options.max_batch_cuboids = 16;
-  options.union_seed_threshold = 2;
   options.query.pin_full_space = false;
   options.query.max_entries = quick ? 24 : 96;
   return options;

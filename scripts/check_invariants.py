@@ -54,6 +54,13 @@ Rules, each scoped to src/:
       baseline ISA can fault on an illegal instruction hidden in an
       unrelated layer.
 
+  R8  A file under src/server/ includes project headers only from
+      src/core/, src/harness/, src/query/ and src/server/. The server
+      admits, batches and maps outcomes onto statuses; every row read
+      and every kernel choice stays behind QueryService, so a kernel
+      header (src/skycube/, src/subset/, ...) in the server is a second
+      copy of a service path in the making.
+
 Usage:
   scripts/check_invariants.py              lint src/ of this repository
   scripts/check_invariants.py --root DIR   lint DIR/src (for testing)
@@ -402,6 +409,32 @@ def check_epoch_reads(relpath, stripped, raw_lines):
     return findings
 
 
+# ---- R8 ------------------------------------------------------------------
+
+RE_PROJECT_INCLUDE = re.compile(r'^\s*#\s*include\s*"(src/[^"]*)"')
+SERVER_SCOPE = "src/server/"
+SERVER_INCLUDES = ("src/core/", "src/harness/", "src/query/", "src/server/")
+
+
+def check_server_includes(relpath, stripped, raw_lines):
+    if not relpath.replace(os.sep, "/").startswith(SERVER_SCOPE):
+        return []
+    findings = []
+    code_lines = stripped.splitlines()
+    for i, raw in enumerate(raw_lines):
+        m = RE_PROJECT_INCLUDE.match(raw)
+        # The stripped line keeps `#include` only when it is code.
+        if m is None or "include" not in code_lines[i]:
+            continue
+        if not m.group(1).startswith(SERVER_INCLUDES):
+            findings.append(Finding(
+                "R8", relpath, i + 1,
+                "src/server/ includes '%s' — the server includes project "
+                "headers only from %s; rows and kernels stay behind "
+                "QueryService" % (m.group(1), ", ".join(SERVER_INCLUDES))))
+    return findings
+
+
 # ---- driver --------------------------------------------------------------
 
 
@@ -415,6 +448,7 @@ def lint_file(relpath, text):
     findings += check_kernel_rules(relpath, stripped)
     findings += check_epoch_reads(relpath, stripped, raw_lines)
     findings += check_intrinsic_containment(relpath, stripped)
+    findings += check_server_includes(relpath, stripped, raw_lines)
     return findings
 
 
@@ -568,6 +602,22 @@ SELF_TEST_CASES = [
         inline int Probe(const AlignedDataset& rows, PointId id) {
           return rows.row_unchecked(id)[0];
         }
+    """, []),
+    ("R8 server reaching past QueryService", "src/server/bad_server.cc",
+     """
+        #include "src/server/server.h"
+        #include "src/skycube/skycube.h"
+    """, ["R8"]),
+    ("R8 server layers and commented includes pass",
+     "src/server/good_server.cc", """
+        #include "src/core/contracts.h"
+        #include "src/harness/histogram.h"
+        #include "src/query/query_service.h"
+        #include "src/server/server.h"
+        // #include "src/skycube/skycube.h" moved behind QueryService.
+    """, []),
+    ("R8 scope excludes other layers", "src/query/other_layer.cc", """
+        #include "src/skycube/skycube.h"
     """, []),
 ]
 

@@ -35,6 +35,35 @@ std::vector<PointId> SkylineOfRows(const SkylineAlgorithm& engine,
   return local;
 }
 
+/// Aborts unless `v` is a non-empty subspace of the first `num_dims`
+/// dimensions. Subspaces are caller input: checked in every build type.
+void CheckSubspace(Subspace v, Dim num_dims, const char* msg) {
+  if (v.empty() || !v.IsSubsetOf(Subspace::Full(num_dims))) {
+    SKYLINE_CONTRACT_VIOLATION(msg);
+  }
+}
+
+/// Why ApplyUpdate must refuse the batch against `version`, or nullptr
+/// when it can apply it.
+const char* UpdateError(const DatasetVersion& version,
+                        std::span<const Value> inserts,
+                        std::span<const PointId> removes) {
+  if (inserts.size() % version.data.num_dims() != 0) {
+    return "ApplyUpdate: inserts must be k * num_dims values";
+  }
+  std::vector<PointId> sorted(removes.begin(), removes.end());
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    if (sorted[i] >= version.data.num_points()) {
+      return "ApplyUpdate: remove id out of range or from this batch";
+    }
+    if (!version.IsLive(sorted[i]) || (i > 0 && sorted[i] == sorted[i - 1])) {
+      return "ApplyUpdate: remove of an already-removed or repeated id";
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 Subspace DatasetVersion::distinct_dims() const {
@@ -175,7 +204,6 @@ std::vector<PointId> QueryService::ComputeCold(const DatasetVersion& version,
 std::vector<PointId> QueryService::ComputeSeededCore(
     const DatasetVersion& version, Subspace v,
     const std::vector<PointId>& candidates, std::uint64_t* tests) const {
-  // Candidates come from a current-epoch entry, so every id is live.
   if (candidates.size() < options_.seeded_boost_threshold) {
     // Warm this worker's projection scratch to the largest seed the BNL
     // can see (below the threshold, and no more than the live rows; a
@@ -251,44 +279,28 @@ QueryService::EntryPtr QueryService::MakeReadyEntry(bool pinned,
 
 std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
                                         std::span<const PointId> removes) {
+  if (inserts.empty() && removes.empty()) return epoch();  // No-op.
   const Dim d = num_dims_;
-  // The batch is caller input, so it is checked in every build type; a
-  // bad one aborts before any state changes.
-  if (inserts.size() % d != 0) {
-    SKYLINE_CONTRACT_VIOLATION(
-        "ApplyUpdate: inserts must be k * num_dims values");
-  }
   const std::size_t num_inserts = inserts.size() / d;
-  if (num_inserts == 0 && removes.empty()) {
-    ReaderLock lock(cache_mu_);
-    return version_->epoch;  // Empty batch: no-op, no epoch bump.
-  }
   const auto start = std::chrono::steady_clock::now();
   std::uint64_t tests = 0;
   std::uint64_t new_epoch = 0;
   {
     WriterLock lock(cache_mu_);
     const DatasetVersionPtr old = version_;
+    // The batch is caller input, so it is checked in every build type; a
+    // bad one aborts before any state changes.
+    if (const char* error = UpdateError(*old, inserts, removes)) {
+      SKYLINE_CONTRACT_VIOLATION(error);
+    }
     auto next = std::make_shared<DatasetVersion>();
     const PointId first_inserted =
         static_cast<PointId>(old->data.num_points());
     // Rows and live flags are each copied once, into buffers sized for
-    // the inserted rows up front. The flags come first: tombstoning in
-    // the copy checks each remove id, repeats included, before any row
-    // is copied.
+    // the inserted rows up front.
     next->live.reserve(old->live.size() + num_inserts);
     next->live.assign(old->live.begin(), old->live.end());
-    for (PointId r : removes) {
-      if (r >= first_inserted) {
-        SKYLINE_CONTRACT_VIOLATION(
-            "ApplyUpdate: remove id out of range or from this batch");
-      }
-      if (next->live[r] == 0) {
-        SKYLINE_CONTRACT_VIOLATION(
-            "ApplyUpdate: remove of an already-removed or repeated id");
-      }
-      next->live[r] = 0;
-    }
+    for (PointId r : removes) next->live[r] = 0;
     next->live.resize(old->live.size() + num_inserts, 1);
     const std::vector<Value>& old_values = old->data.values();
     std::vector<Value> values;
@@ -361,6 +373,12 @@ std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
   return new_epoch;
 }
 
+bool QueryService::CanApplyUpdate(std::span<const Value> inserts,
+                                  std::span<const PointId> removes) const {
+  ReaderLock lock(cache_mu_);
+  return UpdateError(*version_, inserts, removes) == nullptr;
+}
+
 bool QueryService::OverBudget() const {
   const std::size_t unpinned = cache_.size() - pinned_entries_;
   if (unpinned > options_.max_entries) return true;
@@ -419,9 +437,8 @@ void QueryService::PublishAndEvict(const EntryPtr& entry, std::uint64_t key,
 
 std::vector<PointId> QueryService::Query(Subspace v,
                                          std::uint64_t* epoch_out) {
-  SKYLINE_ASSERT(!v.empty(), "Query: empty subspace");
-  SKYLINE_ASSERT(v.IsSubsetOf(Subspace::Full(num_dims_)),
-                 "Query: subspace outside the dataset's space");
+  CheckSubspace(v, num_dims_,
+                "Query: empty subspace or one outside the dataset's space");
   const auto start = std::chrono::steady_clock::now();
   queries_.fetch_add(1, std::memory_order_relaxed);
 
@@ -534,7 +551,9 @@ std::vector<PointId> QueryService::Query(Subspace v,
 bool QueryService::PeekExact(Subspace v, std::vector<PointId>* ids,
                              std::uint64_t* epoch_out,
                              std::uint64_t* epoch_delta) {
-  SKYLINE_ASSERT(!v.empty(), "PeekExact: empty subspace");
+  CheckSubspace(
+      v, num_dims_,
+      "PeekExact: empty subspace or one outside the dataset's space");
   ReaderLock lock(cache_mu_);
   auto it = cache_.find(v.bits());
   if (it == cache_.end()) return false;
@@ -553,20 +572,54 @@ bool QueryService::PeekExact(Subspace v, std::vector<PointId>* ids,
 }
 
 bool QueryService::PeekNearestAncestor(Subspace v, Subspace* ancestor,
-                                       std::vector<PointId>* ids,
-                                       std::uint64_t* epoch_out,
-                                       std::uint64_t* epoch_delta) {
-  SKYLINE_ASSERT(!v.empty(), "PeekNearestAncestor: empty subspace");
+                                       std::vector<PointId>* ids) {
+  CheckSubspace(
+      v, num_dims_,
+      "PeekNearestAncestor: empty subspace or one outside the dataset's "
+      "space");
   ReaderLock lock(cache_mu_);
-  const EntryPtr best = FindBestAncestor(
-      v, /*allow_stale=*/epoch_delta != nullptr, ancestor, epoch_delta);
+  const EntryPtr best = FindBestAncestor(v, /*allow_stale=*/false, ancestor,
+                                         /*epoch_delta=*/nullptr);
   if (best == nullptr) return false;
   best->last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
                         std::memory_order_relaxed);
-  // epoch-ok: best->epoch is forwarded right below, its delta was
-  // written by FindBestAncestor.
+  // epoch-ok: FindBestAncestor only returns current-epoch entries here.
   if (ids != nullptr) *ids = best->published_ids();
-  if (epoch_out != nullptr) *epoch_out = best->epoch;
+  return true;
+}
+
+bool QueryService::PeekStale(Subspace v, StaleAnswer* answer) {
+  CheckSubspace(
+      v, num_dims_,
+      "PeekStale: empty subspace or one outside the dataset's space");
+  EntryPtr best;
+  Subspace ancestor;
+  std::uint64_t delta = 0;
+  DatasetVersionPtr snap;
+  {
+    ReaderLock lock(cache_mu_);
+    best = FindBestAncestor(v, /*allow_stale=*/true, &ancestor, &delta);
+    if (best == nullptr) return false;
+    best->last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
+                          std::memory_order_relaxed);
+    snap = version_;
+  }
+  // epoch-ok: the entry's epoch and its delta travel with the answer, so
+  // a pre-update answer is never returned silently.
+  answer->epoch = best->epoch;
+  answer->epoch_delta = delta;
+  answer->tests = 0;
+  answer->exact = ancestor == v && delta == 0;
+  if (answer->exact) {
+    answer->ids = best->published_ids();
+    return true;
+  }
+  // Rows never change across epochs (removal only tombstones), so the
+  // current version's rows serve a stale seed too: the core is a subset
+  // of the exact answer at the seed's epoch.
+  answer->ids =
+      ComputeSeededCore(*snap, v, best->published_ids(), &answer->tests);
+  std::sort(answer->ids.begin(), answer->ids.end());
   return true;
 }
 

@@ -40,9 +40,10 @@
 //     it alone dominated may surface).
 //
 // Stale entries never answer Query() (they read as misses and are
-// replaced), never seed misses, and are only visible through the Peek
-// probes when the caller explicitly asks for the epoch delta — the
-// bounded-staleness contract of SkylineServer's kServeStale policy.
+// replaced), never seed misses, and are only visible to readers that
+// take the epoch delta with the answer: PeekExact's opt-in and
+// PeekStale — the bounded-staleness read behind SkylineServer's
+// kServeStale policy.
 // In-flight computations that an update overtakes are detached from
 // the cache: their waiters still get the pre-update answer (tagged with
 // the entry's epoch) but the result is never cached under the new
@@ -198,11 +199,27 @@ struct QueryStatsSnapshot {
   }
 };
 
+/// A bounded-staleness answer (QueryService::PeekStale).
+struct StaleAnswer {
+  std::vector<PointId> ids;  ///< Ascending.
+  /// True when `ids` is the cached current-epoch cuboid itself; false
+  /// for a core over an ancestor, a sorted subset of the exact answer
+  /// at `epoch` (only duplicate-projection ties may be missing).
+  bool exact = false;
+  std::uint64_t epoch = 0;        ///< Epoch of the cache entry read.
+  std::uint64_t epoch_delta = 0;  ///< Current epoch − `epoch`.
+  std::uint64_t tests = 0;        ///< Dominance tests spent on the core.
+};
+
 /// Thread-safe memoizing subspace-skyline server over one Dataset. The
 /// construction dataset is snapshotted as epoch 0; it must stay alive
 /// and unmodified only through the constructor call itself, unless the
 /// caller reads it back through data(). All later mutation goes through
 /// ApplyUpdate.
+///
+/// Every subspace argument must be non-empty and lie inside the
+/// dataset's space; one that does not is a contract violation in every
+/// build type.
 class QueryService {
  public:
   explicit QueryService(const Dataset& data, QueryServiceOptions options = {});
@@ -210,13 +227,12 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Ids of the skyline of the non-empty subspace `v` (which must lie
-  /// inside the dataset's space), ascending, over the live rows of one
-  /// dataset version. Safe to call concurrently. When `epoch_out` is
-  /// non-null it receives the epoch of the version the answer reflects
-  /// — always the current epoch at some instant during the call, except
-  /// for waiters coalesced onto a computation that an update detached,
-  /// which get the pre-update epoch they queued behind.
+  /// Ids of the skyline of the subspace `v`, ascending, over the live
+  /// rows of one dataset version. Safe to call concurrently. When
+  /// `epoch_out` is non-null it receives the epoch of the version the
+  /// answer reflects — always the current epoch at some instant during
+  /// the call, except for waiters coalesced onto a computation that an
+  /// update detached, which get the pre-update epoch they queued behind.
   std::vector<PointId> Query(Subspace v, std::uint64_t* epoch_out = nullptr)
       SKYLINE_EXCLUDES(cache_mu_);
 
@@ -225,14 +241,23 @@ class QueryService {
   /// returned epochs' num_points(), ascending); `removes` tombstones
   /// existing live points (each id must be live, predate this batch and
   /// appear once). A batch that breaks these rules, or holds a partial
-  /// row, is a contract violation in every build type. Bumps the epoch,
-  /// repairs or invalidates cached cuboids (see the header comment), and
-  /// keeps the pinned full-space seed current. Returns the new epoch
-  /// (the unchanged one for an empty batch, which is a no-op).
-  /// Serializes against claims/publications via the cache lock; safe to
-  /// call concurrently with Query.
+  /// row, is a contract violation in every build type (CanApplyUpdate
+  /// runs the same checks without aborting). Bumps the epoch, repairs or
+  /// invalidates cached cuboids (see the header comment), and keeps the
+  /// pinned full-space seed current. Returns the new epoch (the
+  /// unchanged one for an empty batch, which is a no-op). Serializes
+  /// against claims/publications via the cache lock; safe to call
+  /// concurrently with Query.
   std::uint64_t ApplyUpdate(std::span<const Value> inserts,
                             std::span<const PointId> removes)
+      SKYLINE_EXCLUDES(cache_mu_);
+
+  /// Whether ApplyUpdate would accept the batch against the current
+  /// version, by ApplyUpdate's own checks. Only a caller that is the
+  /// service's single writer can rely on the answer still holding when
+  /// it then calls ApplyUpdate.
+  bool CanApplyUpdate(std::span<const Value> inserts,
+                      std::span<const PointId> removes) const
       SKYLINE_EXCLUDES(cache_mu_);
 
   /// Copies the current counters; safe to call concurrently.
@@ -253,20 +278,27 @@ class QueryService {
                  std::uint64_t* epoch_delta = nullptr)
       SKYLINE_EXCLUDES(cache_mu_);
 
-  /// Non-blocking nearest-ancestor lookup: if any ready cached cuboid
-  /// U ⊇ `v` exists (freshest epoch first, then the exact cuboid, then
-  /// the fewest ids, the fewest dimensions and the lowest subspace
-  /// bits), copies its subspace/ids into the non-null out-params,
-  /// touches the LRU stamp, and returns true. Without stale entries
-  /// this is the ancestor a Query miss of `v` would seed from, with the
-  /// same cache contents. Never computes and never waits. Same epoch
-  /// contract as PeekExact: stale entries are only eligible when
-  /// `epoch_delta` is non-null.
+  /// Non-blocking nearest-ancestor lookup: if any ready current-epoch
+  /// cuboid U ⊇ `v` is cached (the exact cuboid first, then the fewest
+  /// ids, the fewest dimensions and the lowest subspace bits), copies
+  /// its subspace/ids into the non-null out-params, touches the LRU
+  /// stamp, and returns true. This is the ancestor a Query miss of `v`
+  /// would seed from, with the same cache contents. Never computes and
+  /// never waits.
   bool PeekNearestAncestor(Subspace v, Subspace* ancestor,
-                           std::vector<PointId>* ids,
-                           std::uint64_t* epoch_out = nullptr,
-                           std::uint64_t* epoch_delta = nullptr)
+                           std::vector<PointId>* ids)
       SKYLINE_EXCLUDES(cache_mu_);
+
+  /// Non-blocking bounded-staleness read of `v`. When `v` is cached at
+  /// the current epoch, returns that entry (`exact`). Otherwise it picks
+  /// the nearest cached ancestor U ⊇ `v` with stale entries eligible
+  /// (the smallest epoch delta first, then PeekNearestAncestor's order)
+  /// and returns the core of sky(v) over sky(U), computed with a seeded
+  /// miss's kernel choice (ComputeSeededCore) but without the tie
+  /// repair, so it reads no row outside sky(U). Touches the picked
+  /// entry's LRU stamp; never caches, never waits, and counts neither
+  /// as a query nor as a hit. Returns false when no U ⊇ `v` is cached.
+  bool PeekStale(Subspace v, StaleAnswer* answer) SKYLINE_EXCLUDES(cache_mu_);
 
   /// The current dataset version (immutable snapshot); safe to hold
   /// across updates. Point ids of any epoch resolve against any later
@@ -281,6 +313,7 @@ class QueryService {
   /// and unmodified. Later epochs are reached through current_version(),
   /// which needs neither.
   const Dataset& data() const { return data_; }
+  Dim num_dims() const { return num_dims_; }
   const QueryServiceOptions& options() const { return options_; }
 
  private:
@@ -324,8 +357,8 @@ class QueryService {
   /// ranked by (epoch delta, U ≠ v, id count, dimension count, subspace
   /// bits), so the pick is a function of the cache contents alone. Stale
   /// entries are eligible only with `allow_stale`. Writes U and its
-  /// epoch delta to the non-null out-params. The one ranking behind both
-  /// Query's seed and PeekNearestAncestor.
+  /// epoch delta to the non-null out-params. The one ranking behind
+  /// Query's seed, PeekNearestAncestor and PeekStale.
   EntryPtr FindBestAncestor(Subspace v, bool allow_stale,
                             Subspace* ancestor_subspace,
                             std::uint64_t* epoch_delta) const
@@ -340,7 +373,8 @@ class QueryService {
   /// Computes the core of sky(v) over the ancestor `candidates`: the
   /// skycube BNL below `seeded_boost_threshold` candidates, the
   /// subset-boosted engine on the projected candidate rows at or above
-  /// it. Tie repair is the caller's job.
+  /// it. Reads only the candidates' rows, which `version` holds for any
+  /// id of its epoch or an earlier one. Tie repair is the caller's job.
   std::vector<PointId> ComputeSeededCore(const DatasetVersion& version,
                                          Subspace v,
                                          const std::vector<PointId>& candidates,

@@ -5,11 +5,19 @@
 #include <utility>
 
 #include "src/core/contracts.h"
-#include "src/skycube/skycube.h"
 
 namespace skyline {
 
 namespace {
+
+/// Distinct cuboids gathered per dispatch cycle; same-cuboid coalescing
+/// adds every queued duplicate of them on top.
+constexpr std::size_t kMaxBatchCuboids = 16;
+
+/// A dispatch cycle computes the union of its cuboids first, as a shared
+/// seed, when at least this many of them have no current cached
+/// ancestor.
+constexpr std::size_t kUnionSeedThreshold = 2;
 
 std::uint64_t ElapsedNanos(std::chrono::steady_clock::time_point from,
                            std::chrono::steady_clock::time_point to) {
@@ -34,6 +42,8 @@ const char* StatusCodeName(StatusCode code) {
       return "kCancelled";
     case StatusCode::kShutdown:
       return "kShutdown";
+    case StatusCode::kInvalidArgument:
+      return "kInvalidArgument";
   }
   return "unknown";
 }
@@ -56,6 +66,8 @@ bool ResponseHandle::TryGet(ServerResponse* out) const {
   MutexLock lock(state_->mu);
   if (!state_->done) return false;
   if (out != nullptr) {
+    // Field by field, so a polling caller that reuses `out` keeps its
+    // ids buffer instead of allocating one per response.
     out->status = state_->status;
     out->ids = state_->ids;
     out->epoch = state_->epoch;
@@ -74,36 +86,18 @@ void SkylineServer::Resolve(internal::ServerResultState& state,
     // Terminal accounting, exactly once per handle — counted on the
     // transition itself, BEFORE done becomes observable. A waiter can
     // only see done=true after taking state.mu, so by the time Wait()
-    // returns the resolved_* counters already include this handle and
-    // the Stats() identities hold with no settle window.
-    switch (status) {
-      case StatusCode::kOk:
-        resolved_ok_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case StatusCode::kStale:
-        resolved_stale_.fetch_add(1, std::memory_order_relaxed);
-        if (epoch_delta > 0) {
-          stale_epoch_served_.fetch_add(1, std::memory_order_relaxed);
-          std::uint64_t prev =
-              stale_epoch_delta_max_.load(std::memory_order_relaxed);
-          while (epoch_delta > prev &&
-                 !stale_epoch_delta_max_.compare_exchange_weak(
-                     prev, epoch_delta, std::memory_order_relaxed)) {
-          }
-        }
-        break;
-      case StatusCode::kOverloaded:
-        resolved_overloaded_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case StatusCode::kDeadlineExceeded:
-        resolved_deadline_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case StatusCode::kCancelled:
-        resolved_cancelled_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case StatusCode::kShutdown:
-        resolved_shutdown_.fetch_add(1, std::memory_order_relaxed);
-        break;
+    // returns the outcome counters already include this handle and the
+    // Stats() identities hold with no settle window.
+    outcomes_[static_cast<std::size_t>(status)].fetch_add(
+        1, std::memory_order_relaxed);
+    if (status == StatusCode::kStale && epoch_delta > 0) {
+      stale_epoch_served_.fetch_add(1, std::memory_order_relaxed);
+      std::uint64_t prev =
+          stale_epoch_delta_max_.load(std::memory_order_relaxed);
+      while (epoch_delta > prev &&
+             !stale_epoch_delta_max_.compare_exchange_weak(
+                 prev, epoch_delta, std::memory_order_relaxed)) {
+      }
     }
     state.done = true;
     state.status = status;
@@ -151,13 +145,15 @@ void SkylineServer::Start() {
 ResponseHandle SkylineServer::Submit(Subspace v,
                                      std::chrono::nanoseconds timeout,
                                      CancellationToken token) {
-  SKYLINE_ASSERT(!v.empty(), "Submit: empty subspace");
-  SKYLINE_ASSERT(v.IsSubsetOf(Subspace::Full(service_.data().num_dims())),
-                 "Submit: subspace outside the dataset's space");
   submitted_.fetch_add(1, std::memory_order_relaxed);
   auto state = std::make_shared<internal::ServerResultState>();
   ResponseHandle handle(state);
 
+  if (v.empty() || !v.IsSubsetOf(Subspace::Full(service_.num_dims()))) {
+    admission_resolved_.fetch_add(1, std::memory_order_relaxed);
+    Resolve(*state, StatusCode::kInvalidArgument, {});
+    return handle;
+  }
   if (options_.inline_fast_hits) {
     std::vector<PointId> ids;
     std::uint64_t epoch = 0;
@@ -221,51 +217,40 @@ ResponseHandle SkylineServer::Submit(Subspace v,
   }
   for (Pending& p : shed) {
     triaged_.fetch_add(1, std::memory_order_relaxed);
-    if (p.token.cancelled()) {
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
-      Resolve(*p.state, StatusCode::kCancelled, {});
-    } else {
-      shed_expired_.fetch_add(1, std::memory_order_relaxed);
-      Resolve(*p.state, StatusCode::kDeadlineExceeded, {});
-    }
+    Resolve(*p.state,
+            p.token.cancelled() ? StatusCode::kCancelled
+                                : StatusCode::kDeadlineExceeded,
+            {});
   }
-  if (shutdown) {
+  if (shutdown || reject) {
     admission_resolved_.fetch_add(1, std::memory_order_relaxed);
-    Resolve(*state, StatusCode::kShutdown, {});
-  } else if (reject) {
-    admission_resolved_.fetch_add(1, std::memory_order_relaxed);
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    Resolve(*state, StatusCode::kOverloaded, {});
+    Resolve(*state, shutdown ? StatusCode::kShutdown : StatusCode::kOverloaded,
+            {});
   } else if (serve_stale) {
-    std::vector<PointId> ids;
-    StatusCode status = StatusCode::kOverloaded;
-    std::uint64_t epoch = 0;
-    std::uint64_t epoch_delta = 0;
     admission_resolved_.fetch_add(1, std::memory_order_relaxed);
-    if (TryStaleAnswer(v, &ids, &status, &epoch, &epoch_delta)) {
-      if (status == StatusCode::kStale) {
-        stale_served_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        // Exact current-epoch cuboid was cached: a genuine fast hit —
-        // the request never entered the queue.
-        fast_hits_.fetch_add(1, std::memory_order_relaxed);
-      }
-      Resolve(*state, status, std::move(ids), epoch, epoch_delta);
-    } else {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      Resolve(*state, StatusCode::kOverloaded, {});
+    StaleAnswer answer;
+    const StatusCode status =
+        TryStaleAnswer(v, StatusCode::kOverloaded, &answer);
+    // Exact current-epoch cuboid was cached: a genuine fast hit — the
+    // request never entered the queue.
+    if (status == StatusCode::kOk) {
+      fast_hits_.fetch_add(1, std::memory_order_relaxed);
     }
+    Resolve(*state, status, std::move(answer.ids), answer.epoch,
+            answer.epoch_delta);
   }
   return handle;
 }
 
 ResponseHandle SkylineServer::SubmitUpdate(std::vector<Value> inserts,
                                            std::vector<PointId> removes) {
-  SKYLINE_ASSERT(inserts.size() % service_.data().num_dims() == 0,
-                 "SubmitUpdate: inserts must be k * num_dims values");
   updates_submitted_.fetch_add(1, std::memory_order_relaxed);
   auto state = std::make_shared<internal::ServerResultState>();
   ResponseHandle handle(state);
+  if (inserts.size() % service_.num_dims() != 0) {  // a partial row
+    Resolve(*state, StatusCode::kInvalidArgument, {});
+    return handle;
+  }
   const auto now = std::chrono::steady_clock::now();
   bool shutdown = false;
   {
@@ -361,10 +346,16 @@ void SkylineServer::WorkerLoop() {
     } else if (have_update) {
       const auto dispatch_time = std::chrono::steady_clock::now();
       queue_wait_.Record(ElapsedNanos(update.enqueued_at, dispatch_time));
-      const std::uint64_t epoch =
-          service_.ApplyUpdate(update.inserts, update.removes);
-      updates_applied_.fetch_add(1, std::memory_order_relaxed);
-      Resolve(*update.state, StatusCode::kOk, {}, epoch, 0);
+      // The barrier holds and the server is its service's only writer, so
+      // the check reads the version the update would apply to.
+      if (service_.CanApplyUpdate(update.inserts, update.removes)) {
+        const std::uint64_t epoch =
+            service_.ApplyUpdate(update.inserts, update.removes);
+        updates_applied_.fetch_add(1, std::memory_order_relaxed);
+        Resolve(*update.state, StatusCode::kOk, {}, epoch, 0);
+      } else {
+        Resolve(*update.state, StatusCode::kInvalidArgument, {});
+      }
       {
         MutexLock lock(mu_);
         update_active_ = false;
@@ -391,7 +382,6 @@ void SkylineServer::WorkerLoop() {
 }
 
 std::vector<SkylineServer::CuboidGroup> SkylineServer::GatherBatch() {
-  const std::size_t cap = std::max<std::size_t>(1, options_.max_batch_cuboids);
   std::vector<CuboidGroup> groups;
   std::deque<Pending> rest;
   bool hit_update = false;
@@ -410,7 +400,7 @@ std::vector<SkylineServer::CuboidGroup> SkylineServer::GatherBatch() {
         break;
       }
     }
-    if (group == nullptr && groups.size() < cap) {
+    if (group == nullptr && groups.size() < kMaxBatchCuboids) {
       groups.push_back(CuboidGroup{p.v, {}});
       group = &groups.back();
     }
@@ -450,7 +440,6 @@ std::vector<SkylineServer::CuboidGroup> SkylineServer::PrepareBatch(
     live.reserve(g.waiters.size());
     for (Pending& p : g.waiters) {
       if (p.token.cancelled()) {
-        cancelled_.fetch_add(1, std::memory_order_relaxed);
         triaged_.fetch_add(1, std::memory_order_relaxed);
         Resolve(*p.state, StatusCode::kCancelled, {});
       } else if (p.deadline <= dispatch_time &&
@@ -462,32 +451,22 @@ std::vector<SkylineServer::CuboidGroup> SkylineServer::PrepareBatch(
     }
     if (!expired.empty()) {
       triaged_.fetch_add(expired.size(), std::memory_order_relaxed);
-      std::vector<PointId> ids;
-      StatusCode status = StatusCode::kDeadlineExceeded;
-      std::uint64_t epoch = 0;
-      std::uint64_t epoch_delta = 0;
-      if (options_.policy == OverloadPolicy::kServeStale &&
-          TryStaleAnswer(g.v, &ids, &status, &epoch, &epoch_delta)) {
-        if (status == StatusCode::kStale) {
-          stale_served_.fetch_add(expired.size(), std::memory_order_relaxed);
-        } else {
-          // Exact cache serve past the deadline: these requests were
-          // admitted and dispatched, so they are deadline misses — NOT
-          // fast hits (which would double-count them against the
-          // admission-path bucket).
-          deadline_misses_.fetch_add(expired.size(),
-                                     std::memory_order_relaxed);
-        }
-        for (std::size_t i = 0; i < expired.size(); ++i) {
-          Resolve(*expired[i].state, status,
-                  i + 1 == expired.size() ? std::move(ids) : ids, epoch,
-                  epoch_delta);
-        }
-      } else {
-        shed_expired_.fetch_add(expired.size(), std::memory_order_relaxed);
-        for (Pending& p : expired) {
-          Resolve(*p.state, StatusCode::kDeadlineExceeded, {});
-        }
+      StaleAnswer answer;
+      const StatusCode status =
+          options_.policy == OverloadPolicy::kServeStale
+              ? TryStaleAnswer(g.v, StatusCode::kDeadlineExceeded, &answer)
+              : StatusCode::kDeadlineExceeded;
+      // Exact cache serve past the deadline: these requests were
+      // admitted and dispatched, so they are deadline misses — NOT fast
+      // hits (which would double-count them against the admission-path
+      // bucket).
+      if (status == StatusCode::kOk) {
+        deadline_misses_.fetch_add(expired.size(), std::memory_order_relaxed);
+      }
+      for (std::size_t i = 0; i < expired.size(); ++i) {
+        Resolve(*expired[i].state, status,
+                i + 1 == expired.size() ? std::move(answer.ids) : answer.ids,
+                answer.epoch, answer.epoch_delta);
       }
     }
     g.waiters = std::move(live);
@@ -508,31 +487,22 @@ std::vector<SkylineServer::CuboidGroup> SkylineServer::PrepareBatch(
 
   // Union seeding: when several distinct cuboids of this cycle have no
   // cached ancestor, one compute of their union gives the whole cycle a
-  // shared seed — one full-dataset scan instead of one per member.
-  if (options_.union_seed_threshold > 0) {
-    std::uint64_t union_bits = 0;
-    std::size_t unseeded = 0;
-    for (const CuboidGroup& g : groups) {
-      // epoch-ok: no epoch_delta passed — only a current-epoch ancestor
-      // counts as a seed; stale entries cannot seed.
-      if (!service_.PeekNearestAncestor(g.v, nullptr, nullptr)) {
-        union_bits |= g.v.bits();
-        ++unseeded;
-      }
+  // shared seed — one full-dataset scan instead of one per member. The
+  // probe also refreshes each seed ancestor's LRU stamp.
+  std::uint64_t union_bits = 0;
+  std::size_t unseeded = 0;
+  for (const CuboidGroup& g : groups) {
+    if (!service_.PeekNearestAncestor(g.v, nullptr, nullptr)) {
+      union_bits |= g.v.bits();
+      ++unseeded;
     }
-    if (unseeded >= options_.union_seed_threshold) {
-      bool union_is_member = false;
-      for (const CuboidGroup& g : groups) {
-        if (g.v.bits() == union_bits) {
-          union_is_member = true;
-          break;
-        }
-      }
-      if (!union_is_member) {
-        service_.Query(Subspace(union_bits));
-        union_seeds_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+  }
+  if (unseeded >= kUnionSeedThreshold &&
+      std::none_of(groups.begin(), groups.end(), [&](const CuboidGroup& g) {
+        return g.v.bits() == union_bits;
+      })) {
+    service_.Query(Subspace(union_bits));
+    union_seeds_.fetch_add(1, std::memory_order_relaxed);
   }
 
   return groups;
@@ -552,42 +522,11 @@ void SkylineServer::ComputeGroup(const CuboidGroup& group) {
   }
 }
 
-bool SkylineServer::TryStaleAnswer(Subspace v, std::vector<PointId>* ids,
-                                   StatusCode* status, std::uint64_t* epoch,
-                                   std::uint64_t* epoch_delta) {
-  Subspace ancestor;
-  std::vector<PointId> seed;
-  std::uint64_t seed_epoch = 0;
-  std::uint64_t seed_delta = 0;
-  // epoch-ok: epoch_delta is passed, deliberately opting into stale
-  // entries — every answer derived here is tagged with the delta, so a
-  // pre-update answer is never returned silently.
-  if (!service_.PeekNearestAncestor(v, &ancestor, &seed, &seed_epoch,
-                                    &seed_delta)) {
-    return false;
-  }
-  if (ancestor.bits() == v.bits() && seed_delta == 0) {
-    *ids = std::move(seed);  // exact and current — a plain cache hit
-    *status = StatusCode::kOk;
-    *epoch = seed_epoch;
-    *epoch_delta = 0;
-    return true;
-  }
-  // Row values per id never change across epochs (removal only
-  // tombstones), so the newest version's rows are the right table even
-  // for a stale seed — the result is a sorted subset of the exact
-  // answer at the seed's epoch.
-  const DatasetVersionPtr version = service_.current_version();
-  std::uint64_t tests = 0;
-  std::vector<PointId> core =
-      SubspaceSkylineOverCandidates(version->data, v, seed, &tests);
-  stale_tests_.fetch_add(tests, std::memory_order_relaxed);
-  std::sort(core.begin(), core.end());
-  *ids = std::move(core);
-  *status = StatusCode::kStale;
-  *epoch = seed_epoch;
-  *epoch_delta = seed_delta;
-  return true;
+StatusCode SkylineServer::TryStaleAnswer(Subspace v, StatusCode fallback,
+                                         StaleAnswer* answer) {
+  if (!service_.PeekStale(v, answer)) return fallback;
+  stale_tests_.fetch_add(answer->tests, std::memory_order_relaxed);
+  return answer->exact ? StatusCode::kOk : StatusCode::kStale;
 }
 
 ServerStatsSnapshot SkylineServer::Stats() const {
@@ -598,11 +537,7 @@ ServerStatsSnapshot SkylineServer::Stats() const {
   snap.admission_resolved =
       admission_resolved_.load(std::memory_order_relaxed);
   snap.triaged = triaged_.load(std::memory_order_relaxed);
-  snap.rejected = rejected_.load(std::memory_order_relaxed);
-  snap.shed_expired = shed_expired_.load(std::memory_order_relaxed);
   snap.deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
-  snap.cancelled = cancelled_.load(std::memory_order_relaxed);
-  snap.stale_served = stale_served_.load(std::memory_order_relaxed);
   snap.stale_tests = stale_tests_.load(std::memory_order_relaxed);
   snap.batches = batches_.load(std::memory_order_relaxed);
   snap.batched_cuboids = batched_cuboids_.load(std::memory_order_relaxed);
@@ -614,14 +549,17 @@ ServerStatsSnapshot SkylineServer::Stats() const {
       stale_epoch_served_.load(std::memory_order_relaxed);
   snap.stale_epoch_delta_max =
       stale_epoch_delta_max_.load(std::memory_order_relaxed);
-  snap.resolved_ok = resolved_ok_.load(std::memory_order_relaxed);
-  snap.resolved_stale = resolved_stale_.load(std::memory_order_relaxed);
-  snap.resolved_overloaded =
-      resolved_overloaded_.load(std::memory_order_relaxed);
-  snap.resolved_deadline = resolved_deadline_.load(std::memory_order_relaxed);
-  snap.resolved_cancelled =
-      resolved_cancelled_.load(std::memory_order_relaxed);
-  snap.resolved_shutdown = resolved_shutdown_.load(std::memory_order_relaxed);
+  auto outcome = [this](StatusCode status) {
+    return outcomes_[static_cast<std::size_t>(status)].load(
+        std::memory_order_relaxed);
+  };
+  snap.resolved_ok = outcome(StatusCode::kOk);
+  snap.stale_served = outcome(StatusCode::kStale);
+  snap.rejected = outcome(StatusCode::kOverloaded);
+  snap.shed_expired = outcome(StatusCode::kDeadlineExceeded);
+  snap.cancelled = outcome(StatusCode::kCancelled);
+  snap.invalid_argument = outcome(StatusCode::kInvalidArgument);
+  snap.resolved_shutdown = outcome(StatusCode::kShutdown);
   snap.queue_wait = queue_wait_.Snap();
   snap.query = service_.Stats();
   return snap;

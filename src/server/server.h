@@ -13,13 +13,13 @@
 //     triggers the configured OverloadPolicy instead of unbounded
 //     queueing.
 //   * Batching: a worker pool drains the queue in dispatch cycles. One
-//     cycle gathers up to `max_batch_cuboids` distinct cuboids plus
-//     EVERY queued duplicate of them (same-cuboid coalescing), so a
-//     Zipf-hot cuboid is computed once per cycle no matter how many
-//     requests queued behind it. When a cycle holds several distinct
-//     cuboids that are not yet seeded by a cached ancestor, the worker
-//     first computes their UNION cuboid once and lets the cuboid cache
-//     seed every member from it — one full-dataset scan amortized over
+//     cycle gathers up to 16 distinct cuboids plus EVERY queued
+//     duplicate of them (same-cuboid coalescing), so a Zipf-hot cuboid
+//     is computed once per cycle no matter how many requests queued
+//     behind it. When a cycle holds two or more distinct cuboids that
+//     are not yet seeded by a cached ancestor, the worker first
+//     computes their UNION cuboid once and lets the cuboid cache seed
+//     every member from it — one full-dataset scan amortized over
 //     the whole batch instead of one scan per member (the top-down
 //     skycube sharing scheme applied to the request stream itself).
 //     One worker gathers and orders a cycle; every worker computes it:
@@ -47,6 +47,9 @@
 //     answer is surfaced as kStale *tagged with its epoch delta*
 //     (current epoch − answer epoch) — never silently.
 //
+// The server only admits, batches and maps outcomes onto statuses:
+// every row read and every kernel choice happens inside QueryService.
+//
 // Status contract (tests/server/ asserts it): kOk answers are EXACT at
 // the response's `epoch` and ascending; kStale answers are a sorted
 // SUBSET of the exact answer at the response's `epoch` (every returned
@@ -60,6 +63,7 @@
 #ifndef SKYLINE_SERVER_SERVER_H_
 #define SKYLINE_SERVER_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -83,6 +87,10 @@ enum class StatusCode {
   kDeadlineExceeded,  ///< Shed: the deadline passed before dispatch.
   kCancelled,         ///< The request's CancellationToken fired.
   kShutdown,          ///< Server destroyed before the request dispatched.
+  /// Malformed request: an empty subspace or one outside the dataset's
+  /// space, or an update that ApplyUpdate would refuse. Not retryable.
+  /// Keep it last: it sizes the server's per-status counters.
+  kInvalidArgument,
 };
 
 /// Human-readable status name ("kOk", ...), for logs and tests.
@@ -120,15 +128,6 @@ struct ServerOptions {
 
   /// Degradation policy under overload and for expired requests.
   OverloadPolicy policy = OverloadPolicy::kShedExpired;
-
-  /// Distinct cuboids gathered per dispatch cycle. 1 disables
-  /// cross-cuboid batching (same-cuboid coalescing always applies).
-  std::size_t max_batch_cuboids = 16;
-
-  /// Compute the union cuboid as a shared seed when a dispatch cycle
-  /// holds at least this many distinct unseeded cuboids; 0 disables
-  /// union seeding.
-  std::size_t union_seed_threshold = 2;
 
   /// Resolve a Submit whose exact cuboid is already cached and ready
   /// inline, without queueing — cache hits then never pay queue latency
@@ -234,9 +233,10 @@ struct ServerStatsSnapshot {
   /// batched, and a deadline miss if expired).
   std::uint64_t fast_hits = 0;
   /// Requests resolved at Submit() time without entering the queue:
-  /// inline fast hits, admission rejections, the kServeStale admission
-  /// fallback, and submits against a stopping server. Admission
-  /// identity: submitted == admitted + admission_resolved.
+  /// malformed subspaces, inline fast hits, admission rejections, the
+  /// kServeStale admission fallback, and submits against a stopping
+  /// server. Admission identity: submitted == admitted +
+  /// admission_resolved.
   std::uint64_t admission_resolved = 0;
   /// Admitted requests resolved WITHOUT a batch compute: shed from the
   /// queue by the make-room pass, or triaged at dispatch (cancelled,
@@ -244,11 +244,7 @@ struct ServerStatsSnapshot {
   /// the queue is drained: admitted == batched_requests + triaged
   /// (+ requests orphaned by shutdown).
   std::uint64_t triaged = 0;
-  std::uint64_t rejected = 0;      ///< kOverloaded at admission.
-  std::uint64_t shed_expired = 0;  ///< kDeadlineExceeded (queue or dispatch).
   std::uint64_t deadline_misses = 0;  ///< kOk served past the deadline.
-  std::uint64_t cancelled = 0;        ///< kCancelled at dispatch.
-  std::uint64_t stale_served = 0;     ///< kStale responses.
   std::uint64_t stale_tests = 0;   ///< Dominance tests on the stale path.
   /// Dispatch cycles that computed at least one cuboid for a live
   /// waiter. Cycles fully consumed by triage (all requests cancelled or
@@ -266,19 +262,21 @@ struct ServerStatsSnapshot {
                                          ///< pre-update answers, tagged.
   std::uint64_t stale_epoch_delta_max = 0;  ///< Largest delta ever served.
 
-  // ---- Terminal accounting (exactly one per resolved handle) ----
-  // Incremented at the resolve transition itself, so after every handle
-  // of a run has resolved:
-  //   submitted + updates_submitted == resolved_ok + resolved_stale +
-  //     resolved_overloaded + resolved_deadline + resolved_cancelled +
-  //     resolved_shutdown
-  // (an update handle resolves kOk, or kShutdown when never applied).
-  std::uint64_t resolved_ok = 0;
-  std::uint64_t resolved_stale = 0;
-  std::uint64_t resolved_overloaded = 0;
-  std::uint64_t resolved_deadline = 0;
-  std::uint64_t resolved_cancelled = 0;
-  std::uint64_t resolved_shutdown = 0;
+  // ---- Terminal outcomes: one counter per StatusCode ----
+  // Each counts its status at the resolve transition itself, exactly
+  // once per handle, so after every handle of a run has resolved:
+  //   submitted + updates_submitted == resolved_total()
+  // (an update handle resolves kOk, kInvalidArgument, or kShutdown when
+  // never applied).
+  std::uint64_t resolved_ok = 0;       ///< kOk (queries and updates).
+  std::uint64_t stale_served = 0;      ///< kStale.
+  std::uint64_t rejected = 0;          ///< kOverloaded at admission.
+  std::uint64_t shed_expired = 0;      ///< kDeadlineExceeded (queue or
+                                       ///< dispatch).
+  std::uint64_t cancelled = 0;         ///< kCancelled (admission make-room
+                                       ///< pass or dispatch).
+  std::uint64_t invalid_argument = 0;  ///< kInvalidArgument.
+  std::uint64_t resolved_shutdown = 0;  ///< kShutdown.
 
   LatencyHistogram::Snapshot queue_wait;  ///< Submit-to-dispatch wait.
   QueryStatsSnapshot query;               ///< Inner QueryService counters.
@@ -291,15 +289,16 @@ struct ServerStatsSnapshot {
   }
 
   std::uint64_t resolved_total() const {
-    return resolved_ok + resolved_stale + resolved_overloaded +
-           resolved_deadline + resolved_cancelled + resolved_shutdown;
+    return resolved_ok + stale_served + rejected + shed_expired + cancelled +
+           invalid_argument + resolved_shutdown;
   }
 };
 
 /// Asynchronous, deadline-aware, batching skyline server over one
-/// Dataset (which must outlive the server and stay unmodified — it is
-/// snapshotted as epoch 0, and all later mutation goes through
-/// SubmitUpdate). All public methods are safe to call concurrently.
+/// Dataset, snapshotted as epoch 0: as for QueryService, the caller's
+/// Dataset only has to outlive the constructor, and all later mutation
+/// goes through SubmitUpdate. All public methods are safe to call
+/// concurrently.
 class SkylineServer {
  public:
   explicit SkylineServer(const Dataset& data, ServerOptions options = {});
@@ -316,11 +315,12 @@ class SkylineServer {
   /// ServerOptions::auto_start == false.
   void Start() SKYLINE_EXCLUDES(mu_);
 
-  /// Non-blocking admission of a skyline query for the non-empty
-  /// subspace `v` with a relative deadline of `timeout` (kNoTimeout =
-  /// none; <= 0 = already expired, subject to the overload policy at
-  /// dispatch). The returned handle always resolves — with one of the
-  /// StatusCode outcomes — even across server shutdown.
+  /// Non-blocking admission of a skyline query for the subspace `v`
+  /// with a relative deadline of `timeout` (kNoTimeout = none; <= 0 =
+  /// already expired, subject to the overload policy at dispatch). An
+  /// empty `v`, or one outside the dataset's space, resolves
+  /// kInvalidArgument at once. The returned handle always resolves —
+  /// with one of the StatusCode outcomes — even across server shutdown.
   ResponseHandle Submit(Subspace v,
                         std::chrono::nanoseconds timeout = kNoTimeout,
                         CancellationToken token = {}) SKYLINE_EXCLUDES(mu_);
@@ -330,10 +330,13 @@ class SkylineServer {
   /// `removes` tombstones live pre-existing points (see
   /// QueryService::ApplyUpdate for the id rules). Updates are a
   /// privileged request class: never rejected, shed or cancelled, and
-  /// exempt from queue_capacity — only shutdown resolves one without
-  /// applying it. The batcher serializes the update against query
-  /// batches in queue order; the handle resolves kOk with `epoch` set
-  /// to the epoch the update installed (ids empty).
+  /// exempt from queue_capacity. The batcher serializes the update
+  /// against query batches in queue order; the handle resolves kOk with
+  /// `epoch` set to the epoch the update installed (ids empty). A
+  /// malformed update resolves kInvalidArgument and leaves the epoch
+  /// unchanged: a partial row at admission, a remove id ApplyUpdate
+  /// would refuse when the update dispatches. Only shutdown otherwise
+  /// resolves an update without applying it.
   ResponseHandle SubmitUpdate(std::vector<Value> inserts,
                               std::vector<PointId> removes)
       SKYLINE_EXCLUDES(mu_);
@@ -379,9 +382,9 @@ class SkylineServer {
   };
 
   /// Resolves `state` exactly once (later calls are no-ops) and — only
-  /// on the actual transition — increments the matching resolved_*
-  /// terminal counter and the stale-epoch tallies, so the accounting
-  /// identity in ServerStatsSnapshot holds by construction.
+  /// on the actual transition — counts the outcome of `status` and the
+  /// stale-epoch tallies: the one place an outcome is counted, so the
+  /// accounting identity in ServerStatsSnapshot holds by construction.
   void Resolve(internal::ServerResultState& state, StatusCode status,
                std::vector<PointId> ids, std::uint64_t epoch = 0,
                std::uint64_t epoch_delta = 0);
@@ -389,7 +392,7 @@ class SkylineServer {
   void WorkerLoop() SKYLINE_EXCLUDES(mu_);
 
   /// Pops the next dispatch cycle off the queue: up to
-  /// `max_batch_cuboids` distinct cuboids from the front plus every
+  /// kMaxBatchCuboids distinct cuboids from the front plus every
   /// queued duplicate of them. Stops at the first queued update — a
   /// query submitted after an update must never coalesce into a batch
   /// dispatched before it.
@@ -406,16 +409,11 @@ class SkylineServer {
   /// Computes one claimed group's cuboid and resolves its waiters.
   void ComputeGroup(const CuboidGroup& group) SKYLINE_EXCLUDES(mu_);
 
-  /// Bounded-staleness answer for `v` from the nearest cached ancestor:
-  /// `*status` is kOk when the exact current-epoch cuboid is cached,
-  /// kStale (sorted subset of the exact answer at `*epoch`) when
-  /// computed from an ancestor's candidates — possibly a stale entry,
-  /// reported through `*epoch` / `*epoch_delta`. Returns false — caller
-  /// picks the fallback status — when nothing is cached. Never touches
-  /// the full dataset.
-  bool TryStaleAnswer(Subspace v, std::vector<PointId>* ids,
-                      StatusCode* status, std::uint64_t* epoch,
-                      std::uint64_t* epoch_delta);
+  /// Maps QueryService::PeekStale onto a status: kOk for the exact
+  /// current-epoch cuboid, kStale for a core over an ancestor, and
+  /// `fallback` (with `*answer` left empty) when nothing ⊇ v is cached.
+  StatusCode TryStaleAnswer(Subspace v, StatusCode fallback,
+                            StaleAnswer* answer);
 
   const ServerOptions options_;
   QueryService service_;  // unguarded: internally synchronized
@@ -445,11 +443,7 @@ class SkylineServer {
   std::atomic<std::uint64_t> fast_hits_{0};
   std::atomic<std::uint64_t> admission_resolved_{0};
   std::atomic<std::uint64_t> triaged_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> shed_expired_{0};
   std::atomic<std::uint64_t> deadline_misses_{0};
-  std::atomic<std::uint64_t> cancelled_{0};
-  std::atomic<std::uint64_t> stale_served_{0};
   std::atomic<std::uint64_t> stale_tests_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batched_cuboids_{0};
@@ -459,12 +453,11 @@ class SkylineServer {
   std::atomic<std::uint64_t> updates_applied_{0};
   std::atomic<std::uint64_t> stale_epoch_served_{0};
   std::atomic<std::uint64_t> stale_epoch_delta_max_{0};
-  std::atomic<std::uint64_t> resolved_ok_{0};
-  std::atomic<std::uint64_t> resolved_stale_{0};
-  std::atomic<std::uint64_t> resolved_overloaded_{0};
-  std::atomic<std::uint64_t> resolved_deadline_{0};
-  std::atomic<std::uint64_t> resolved_cancelled_{0};
-  std::atomic<std::uint64_t> resolved_shutdown_{0};
+  /// Resolved handles per StatusCode (its value is the index); written
+  /// by Resolve only.
+  std::array<std::atomic<std::uint64_t>,
+             static_cast<std::size_t>(StatusCode::kInvalidArgument) + 1>
+      outcomes_{};
   LatencyHistogram queue_wait_;  // unguarded: internally lock-free atomics
 };
 

@@ -83,6 +83,23 @@ TEST(ContractsDeathTest, ApplyUpdateRejectsMalformedBatches) {
                "num_dims values");
 }
 
+TEST(ContractsDeathTest, QueryServiceRejectsMalformedSubspaces) {
+  // Subspaces are caller input: checked in every build type, so this
+  // test never skips.
+  const Dataset data = Dataset::FromRows({{1.0, 2.0}, {2.0, 1.0}, {3.0, 3.0}});
+  QueryService service(data);
+  const Subspace outside = Subspace::Single(40);
+  std::vector<PointId> ids;
+  Subspace ancestor;
+  StaleAnswer answer;
+  EXPECT_DEATH(service.Query(Subspace()), "outside the dataset's space");
+  EXPECT_DEATH(service.Query(outside), "outside the dataset's space");
+  EXPECT_DEATH(service.PeekExact(outside, &ids), "PeekExact");
+  EXPECT_DEATH(service.PeekNearestAncestor(Subspace(), &ancestor, &ids),
+               "PeekNearestAncestor");
+  EXPECT_DEATH(service.PeekStale(Subspace{0, 2}, &answer), "PeekStale");
+}
+
 TEST(ContractsDeathTest, StatsSlotBoundsAreEnforced) {
   if (!kSkylineAsserts) GTEST_SKIP() << "SKYLINE_ASSERT compiled out";
   StatsAccumulator acc(2);

@@ -1,6 +1,7 @@
 // Unit tests of QueryService::ApplyUpdate: epoch bumping, the
 // insert/remove repair rules, invalidation, the pinned full-space
-// seed's eager maintenance, the Peek epoch opt-in contract, and the
+// seed's eager maintenance, the stale-entry opt-ins (PeekExact's
+// epoch_delta and PeekStale), and the
 // epoch edge cases of ISSUE 9 (update overtaking an in-flight compute,
 // removal of a pinned seed member, empty batches).
 #include <gtest/gtest.h>
@@ -308,21 +309,27 @@ TEST(QueryUpdateTest, PeekNearestAncestorPrefersFresherEpochs) {
   service.ApplyUpdate({}, std::vector<PointId>{full_sky.front()});
   const std::vector<PointId> pair_sky = service.Query(Subspace{0, 1});
 
-  // Without the opt-in only the current-epoch ancestor is eligible.
+  // Only the current-epoch ancestor is eligible.
   Subspace ancestor;
   std::vector<PointId> ids;
   ASSERT_TRUE(service.PeekNearestAncestor(target, &ancestor, &ids));
   EXPECT_EQ(ancestor, (Subspace{0, 1}));
   EXPECT_EQ(ids, pair_sky);
 
-  // With the opt-in the current ancestor still ranks first (delta 0
-  // beats delta 1 regardless of size).
-  std::uint64_t entry_epoch = 99, delta = 99;
-  ASSERT_TRUE(service.PeekNearestAncestor(target, &ancestor, &ids,
-                                          &entry_epoch, &delta));
-  EXPECT_EQ(ancestor, (Subspace{0, 1}));
-  EXPECT_EQ(delta, 0u);
-  EXPECT_EQ(entry_epoch, 1u);
+  // The stale read admits stale entries, yet the current ancestor still
+  // ranks first (delta 0 beats delta 1 regardless of size): the answer
+  // is the core over {0,1}'s skyline, at epoch 1.
+  StaleAnswer answer;
+  answer.epoch = answer.epoch_delta = 99;
+  ASSERT_TRUE(service.PeekStale(target, &answer));
+  EXPECT_FALSE(answer.exact);
+  EXPECT_EQ(answer.epoch_delta, 0u);
+  EXPECT_EQ(answer.epoch, 1u);
+  std::vector<PointId> core =
+      SubspaceSkylineOverCandidates(service.current_version()->data, target,
+                                    pair_sky);
+  std::sort(core.begin(), core.end());
+  EXPECT_EQ(answer.ids, core);
 }
 
 TEST(QueryUpdateTest, StaleEntryNeverSeedsAMiss) {

@@ -1,13 +1,15 @@
 // Unit tests of the SkylineServer admission/batching/degradation layer:
 // exact answers, inline fast hits, deferred start, same-cuboid
 // coalescing, union seeding, every overload policy, cancellation,
-// shutdown, deadline accounting, and the retry client.
+// shutdown, deadline accounting, malformed requests, and the retry
+// client.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "src/data/generator.h"
@@ -127,7 +129,6 @@ TEST(SkylineServerTest, UnionSeedAmortizesColdScansAcrossBatch) {
     ServerOptions options;
     options.auto_start = false;
     options.workers = workers;
-    options.union_seed_threshold = 2;
     options.query.pin_full_space = false;  // no universal ancestor
     SkylineServer server(data, options);
     ResponseHandle ha = server.Submit(a);
@@ -160,27 +161,50 @@ TEST(SkylineServerTest, RejectPolicyOverloadsOnZeroCapacity) {
 TEST(SkylineServerTest, ServeStalePolicyDegradesAtAdmission) {
   const Dataset data = Generate(DataType::kAntiCorrelated, 300, 4, 87);
   const auto oracles = AllOracles(data);
-  ServerOptions options;
-  options.auto_start = false;
-  options.queue_capacity = 0;  // every Submit is an overload
-  options.policy = OverloadPolicy::kServeStale;
-  options.inline_fast_hits = false;
-  SkylineServer server(data, options);  // pinned full space = the ancestor
-  for (std::uint64_t bits = 1; bits < 15; ++bits) {
-    const ServerResponse response = server.Query(Subspace(bits));
-    EXPECT_EQ(response.status, StatusCode::kStale) << bits;
-    EXPECT_TRUE(IsSortedSubsetOf(response.ids, oracles.at(bits))) << bits;
-    EXPECT_FALSE(response.ids.empty()) << bits;  // core is never empty here
+  // The pinned full-space seed stays below the default boost threshold,
+  // so the first run computes every core on the BNL. Threshold 1 sends
+  // the same seed to SfsSubset, whose cores must equal the BNL's.
+  const std::size_t default_threshold =
+      QueryServiceOptions{}.seeded_boost_threshold;
+  ASSERT_LT(oracles.at(15).size(), default_threshold);
+  std::map<std::uint64_t, std::vector<PointId>> bnl_cores;
+  std::uint64_t bnl_tests = 0;
+  for (std::size_t threshold : {default_threshold, std::size_t{1}}) {
+    SCOPED_TRACE(threshold);
+    ServerOptions options;
+    options.auto_start = false;
+    options.queue_capacity = 0;  // every Submit is an overload
+    options.policy = OverloadPolicy::kServeStale;
+    options.inline_fast_hits = false;
+    options.query.seeded_boost_threshold = threshold;
+    SkylineServer server(data, options);  // pinned full space = the ancestor
+    for (std::uint64_t bits = 1; bits < 15; ++bits) {
+      const ServerResponse response = server.Query(Subspace(bits));
+      EXPECT_EQ(response.status, StatusCode::kStale) << bits;
+      EXPECT_TRUE(IsSortedSubsetOf(response.ids, oracles.at(bits))) << bits;
+      EXPECT_FALSE(response.ids.empty()) << bits;  // core is never empty here
+      if (threshold == default_threshold) {
+        bnl_cores[bits] = response.ids;
+      } else {
+        EXPECT_EQ(response.ids, bnl_cores.at(bits)) << bits;
+      }
+    }
+    // The exact full-space cuboid is cached: the stale path returns it
+    // exactly, as kOk.
+    const ServerResponse full = server.Query(Subspace::Full(4));
+    EXPECT_EQ(full.status, StatusCode::kOk);
+    EXPECT_EQ(full.ids, oracles.at(15));
+    const ServerStatsSnapshot stats = server.Stats();
+    EXPECT_EQ(stats.stale_served, 14u);
+    EXPECT_GT(stats.stale_tests, 0u);
+    EXPECT_EQ(stats.rejected, 0u);
+    // The same cores at a different cost: the other kernel ran.
+    if (threshold == default_threshold) {
+      bnl_tests = stats.stale_tests;
+    } else {
+      EXPECT_NE(stats.stale_tests, bnl_tests);
+    }
   }
-  // The exact full-space cuboid is cached: the stale path returns it
-  // exactly, as kOk.
-  const ServerResponse full = server.Query(Subspace::Full(4));
-  EXPECT_EQ(full.status, StatusCode::kOk);
-  EXPECT_EQ(full.ids, oracles.at(15));
-  const ServerStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.stale_served, 14u);
-  EXPECT_GT(stats.stale_tests, 0u);
-  EXPECT_EQ(stats.rejected, 0u);
 }
 
 TEST(SkylineServerTest, ServeStaleFallsBackToOverloadedWithoutAncestor) {
@@ -194,6 +218,35 @@ TEST(SkylineServerTest, ServeStaleFallsBackToOverloadedWithoutAncestor) {
   const ServerResponse response = server.Query(Subspace(0b001));
   EXPECT_EQ(response.status, StatusCode::kOverloaded);
   EXPECT_EQ(server.Stats().rejected, 1u);
+}
+
+TEST(SkylineServerTest, ServeStaleServesAnExpiredCachedCuboidAtDispatch) {
+  const Dataset data = Generate(DataType::kUniformIndependent, 200, 4, 102);
+  ServerOptions options;
+  options.auto_start = false;
+  options.workers = 1;
+  options.policy = OverloadPolicy::kServeStale;
+  options.inline_fast_hits = false;  // queue even the cached full space
+  SkylineServer server(data, options);
+  const Subspace full = Subspace::Full(4);
+  ResponseHandle handle = server.Submit(full, nanoseconds(0));
+  server.Start();
+  // Expired at dispatch, but the pinned cuboid is cached and current:
+  // served exactly, and counted as a deadline miss, not a fast hit.
+  const ServerResponse response = handle.Wait();
+  EXPECT_EQ(response.status, StatusCode::kOk);
+  EXPECT_EQ(response.ids, SubspaceSkyline(data, full));
+  EXPECT_EQ(response.epoch_delta, 0u);
+  const ServerStatsSnapshot stats = server.Stats();
+  EXPECT_EQ(stats.deadline_misses, 1u);
+  EXPECT_EQ(stats.triaged, 1u);
+  EXPECT_EQ(stats.fast_hits, 0u);
+  EXPECT_EQ(stats.stale_served, 0u);
+  EXPECT_EQ(stats.batched_requests, 0u);
+  EXPECT_EQ(stats.query.queries, 0u);
+  EXPECT_EQ(stats.submitted, stats.admitted + stats.admission_resolved);
+  EXPECT_EQ(stats.admitted, stats.batched_requests + stats.triaged);
+  EXPECT_EQ(stats.submitted + stats.updates_submitted, stats.resolved_total());
 }
 
 TEST(SkylineServerTest, ShedExpiredDropsPastDeadlineRequestsAtDispatch) {
@@ -315,6 +368,51 @@ TEST(SkylineServerTest, DestructionRightAfterStartResolvesEveryHandle) {
   EXPECT_EQ(before.submitted + before.updates_submitted, resolved);
 }
 
+TEST(SkylineServerTest, MalformedSubspacesResolveInvalidArgument) {
+  // Checked at admission in every build type: none of these reaches the
+  // service, so none can read past a row.
+  const Dataset data = Generate(DataType::kUniformIndependent, 200, 3, 104);
+  SkylineServer server(data);
+  for (const Subspace v : {Subspace(), Subspace::Single(40), Subspace{0, 3}}) {
+    const ServerResponse response = server.Query(v);
+    EXPECT_EQ(response.status, StatusCode::kInvalidArgument) << v.ToString();
+    EXPECT_TRUE(response.ids.empty()) << v.ToString();
+  }
+  const Subspace v(0b101);
+  EXPECT_EQ(server.Query(v).ids, SubspaceSkyline(data, v));
+  const ServerStatsSnapshot stats = server.Stats();
+  EXPECT_EQ(stats.invalid_argument, 3u);
+  EXPECT_EQ(stats.query.queries, 1u);
+  EXPECT_EQ(stats.submitted, stats.admitted + stats.admission_resolved);
+  EXPECT_EQ(stats.admitted, stats.batched_requests + stats.triaged);
+  EXPECT_EQ(stats.submitted + stats.updates_submitted, stats.resolved_total());
+}
+
+TEST(SkylineServerTest, ConstructionDatasetMayDieAfterTheConstructor) {
+  // The server reads the dataset's shape from its service, which
+  // snapshots the rows: no path may read the caller's copy again.
+  auto data = std::make_unique<Dataset>(
+      Generate(DataType::kUniformIndependent, 200, 3, 105));
+  const Dataset copy = *data;
+  ServerOptions options;
+  options.workers = 1;
+  SkylineServer server(*data, options);
+  data.reset();  // a later read of it is a heap use-after-free (ASan)
+  const Subspace v(0b011);
+  EXPECT_EQ(server.Query(v).ids, SubspaceSkyline(copy, v));
+  EXPECT_EQ(server.Query(Subspace::Single(3)).status,
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.SubmitUpdate(std::vector<Value>{0.5, 0.5}, {}).Wait().status,
+            StatusCode::kInvalidArgument);
+  const ServerResponse applied =
+      server.SubmitUpdate(std::vector<Value>{-1.0, -1.0, -1.0}, {3}).Wait();
+  EXPECT_EQ(applied.status, StatusCode::kOk);
+  EXPECT_EQ(applied.epoch, 1u);
+  const ServerResponse after = server.Query(Subspace(0b110));
+  EXPECT_EQ(after.ids, std::vector<PointId>{200});
+  EXPECT_EQ(after.epoch, 1u);
+}
+
 TEST(SkylineServerTest, StatsAreInternallyConsistent) {
   const Dataset data = Generate(DataType::kUniformIndependent, 250, 4, 93);
   SkylineServer server(data);
@@ -338,6 +436,8 @@ TEST(SkylineServerTest, StatusCodeNamesAreStable) {
                "kDeadlineExceeded");
   EXPECT_STREQ(StatusCodeName(StatusCode::kCancelled), "kCancelled");
   EXPECT_STREQ(StatusCodeName(StatusCode::kShutdown), "kShutdown");
+  EXPECT_STREQ(StatusCodeName(StatusCode::kInvalidArgument),
+               "kInvalidArgument");
 }
 
 TEST(SkylineServerUpdateTest, SubmitUpdateAppliesAndTagsEpoch) {
@@ -444,6 +544,63 @@ TEST(SkylineServerUpdateTest, QueuedUpdateResolvesShutdownOnDestruction) {
   }
   const ServerResponse response = update.Wait();
   EXPECT_EQ(response.status, StatusCode::kShutdown);
+}
+
+TEST(SkylineServerUpdateTest, MalformedUpdatesResolveInvalidArgument) {
+  const Dataset data = Generate(DataType::kUniformIndependent, 200, 3, 103);
+  ServerOptions options;
+  options.workers = 1;
+  SkylineServer server(data, options);
+  ASSERT_EQ(server.SubmitUpdate({}, {5}).Wait().epoch, 1u);
+
+  // Each is refused whole, and the epoch stays where it was. The partial
+  // row is caught at admission, the rest when the update dispatches.
+  struct Malformed {
+    const char* label;
+    std::vector<Value> inserts;
+    std::vector<PointId> removes;
+  };
+  const Malformed updates[] = {
+      {"partial row", {0.5, 0.5}, {}},
+      {"repeated id", {}, {0, 1, 0}},
+      {"out-of-range id", {}, {7000}},
+      {"already-removed id", {}, {5}},
+      {"id inserted by the same batch", {0.5, 0.5, 0.5}, {200}},
+  };
+  for (const Malformed& u : updates) {
+    const ServerResponse response =
+        server.SubmitUpdate(u.inserts, u.removes).Wait();
+    EXPECT_EQ(response.status, StatusCode::kInvalidArgument) << u.label;
+    EXPECT_TRUE(response.ids.empty()) << u.label;
+    EXPECT_EQ(server.Stats().query.epoch, 1u) << u.label;
+  }
+
+  // The server still applies a valid update and serves queries. No
+  // refused batch appended a row, so the insert becomes id 200.
+  const ServerResponse applied =
+      server.SubmitUpdate(std::vector<Value>{-1.0, -1.0, -1.0}, {0}).Wait();
+  EXPECT_EQ(applied.status, StatusCode::kOk);
+  EXPECT_EQ(applied.epoch, 2u);
+  const ServerResponse response = server.Query(Subspace(0b011));
+  EXPECT_EQ(response.status, StatusCode::kOk);
+  EXPECT_EQ(response.ids, std::vector<PointId>{200});
+  EXPECT_EQ(response.epoch, 2u);
+
+  // A malformed request is a definitive outcome: never retried.
+  int attempts = 0;
+  EXPECT_EQ(QueryWithRetry(server, Subspace::Single(3), kNoTimeout, {},
+                           &attempts)
+                .status,
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(attempts, 1);
+
+  const ServerStatsSnapshot stats = server.Stats();
+  EXPECT_EQ(stats.invalid_argument, 6u);
+  EXPECT_EQ(stats.updates_submitted, 7u);
+  EXPECT_EQ(stats.updates_applied, 2u);
+  EXPECT_EQ(stats.submitted, stats.admitted + stats.admission_resolved);
+  EXPECT_EQ(stats.admitted, stats.batched_requests + stats.triaged);
+  EXPECT_EQ(stats.submitted + stats.updates_submitted, stats.resolved_total());
 }
 
 TEST(SkylineServerUpdateTest, ServeStaleTagsPreUpdateAnswersWithEpochDelta) {
