@@ -1,11 +1,16 @@
 // SubsetIndex vs. a flat linear-scan oracle. The harness replays a
 // random op sequence (Add / AddAlwaysCandidate / Remove / Query /
-// QueryContained / MergeFrom / Compact) against both the prefix tree
-// and a plain vector of (id, subspace) pairs, comparing every query
-// result as a multiset and, after every op, the num_points accounting
-// plus the num_nodes count against the distinct live reversed-path
-// prefixes (the node-reclamation invariant: Remove must not leak dead
-// tree structure).
+// QueryContained / MergeFrom / Compact / FindDominator) against both
+// the prefix tree and a plain vector of (id, subspace) pairs, comparing
+// every query result as a multiset and, after every op, the num_points
+// accounting plus the num_nodes count against the distinct live
+// reversed-path prefixes (the node-reclamation invariant: Remove must
+// not leak dead tree structure). The indexes are bound to a fixed
+// 256-row dataset (every U8 id names a row), so each member carries its
+// packed prefilter row; the FindDominator op checks the in-place probe
+// against Query followed by the id-list kernel, which catches a row
+// that drifted away from its id after a swap-with-back Remove or a
+// MergeFrom splice.
 #ifndef SKYLINE_FUZZ_HARNESS_SUBSET_INDEX_H_
 #define SKYLINE_FUZZ_HARNESS_SUBSET_INDEX_H_
 
@@ -16,6 +21,10 @@
 #include <vector>
 
 #include "fuzz/fuzz_util.h"
+#include "src/core/aligned_dataset.h"
+#include "src/core/dataset.h"
+#include "src/core/kernels.h"
+#include "src/core/stats.h"
 #include "src/core/subspace.h"
 #include "src/core/types.h"
 #include "src/subset/subset_index.h"
@@ -49,6 +58,18 @@ inline std::size_t ExpectedNodes(const std::vector<Entry>& ref, Dim nd) {
   return prefixes.size();
 }
 
+/// The rows the harness's ids name: one per U8 id, `nd` values in 0..3
+/// from a fixed generator, so dominating pairs are common.
+inline Dataset ProbeRows(Dim nd) {
+  std::vector<Value> values(std::size_t{256} * nd);
+  std::uint32_t state = 0x9e3779b9u ^ nd;
+  for (Value& v : values) {
+    state = state * 1664525u + 1013904223u;
+    v = static_cast<Value>(state >> 30);
+  }
+  return Dataset(nd, std::move(values));
+}
+
 }  // namespace index_oracle
 
 inline void RunSubsetIndexFuzzInput(const std::uint8_t* data,
@@ -59,15 +80,18 @@ inline void RunSubsetIndexFuzzInput(const std::uint8_t* data,
   const Dim nd = 1 + in.U8() % 16;
   const std::uint64_t full = Subspace::Full(nd).bits();
 
-  SubsetIndex index(nd);
-  SubsetIndex staging(nd);
+  const Dataset probe_rows = index_oracle::ProbeRows(nd);
+  AlignedDataset rows(probe_rows);
+  rows.EnsureQuantized();
+  SubsetIndex index(nd, &rows);
+  SubsetIndex staging(nd, &rows);
   std::vector<Entry> ref;
   std::vector<Entry> staging_ref;
 
   int ops = 0;
   while (!in.exhausted() && ops < 256) {
     ++ops;
-    const std::uint8_t op = in.U8() % 9;
+    const std::uint8_t op = in.U8() % 10;
     switch (op) {
       case 0:
       case 1: {  // Add to the main index (2x weight: adds dominate real use)
@@ -144,12 +168,31 @@ inline void RunSubsetIndexFuzzInput(const std::uint8_t* data,
         staging_ref.clear();
         FUZZ_CHECK(staging.num_points() == 0,
                    "MergeFrom: source index not emptied");
-        staging = SubsetIndex(nd);
+        staging = SubsetIndex(nd, &rows);
         break;
       }
       case 8: {  // Compact: eager Remove reclamation leaves nothing to prune
         FUZZ_CHECK(index.Compact() == 0,
                    "Compact found dead nodes Remove should have reclaimed");
+        break;
+      }
+      case 9: {  // FindDominator == Query + the id-list kernel
+        const PointId q = in.U8();
+        const Subspace probe(in.U16() & full);
+        std::vector<PointId> candidates;
+        std::uint64_t nodes = 0;
+        index.Query(probe, &candidates, &nodes);
+        const kernels::BatchProbeResult want =
+            kernels::DominatesAny(rows, candidates, rows.row(q), nd);
+        SkylineStats stats;
+        const kernels::BatchProbeResult got =
+            index.FindDominator(probe, q, &stats);
+        FUZZ_CHECK(got.first == want.first && got.scanned == want.scanned,
+                   "FindDominator disagrees with Query + DominatesAny");
+        FUZZ_CHECK(stats.index_candidates == candidates.size() &&
+                       stats.index_nodes_visited == nodes &&
+                       stats.dominance_tests == want.scanned,
+                   "FindDominator counters disagree with Query's");
         break;
       }
       default:

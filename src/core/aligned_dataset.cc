@@ -14,6 +14,13 @@ std::size_t PaddedStride(Dim num_dims) {
   return (d + kValuesPerLine - 1) / kValuesPerLine * kValuesPerLine;
 }
 
+/// Packed quantized row width: one byte per dimension, rounded up to a
+/// whole 64-bit word.
+std::size_t PackedQuantStride(Dim num_dims) {
+  const std::size_t d = num_dims;
+  return (d + 7) / 8 * 8;
+}
+
 /// Monotone bucket map onto 0..255. For a fixed (lo, scale >= 0) grid,
 /// v1 <= v2 implies Bucket(v1) <= Bucket(v2), which is the entire
 /// soundness argument of the prefilter (contrapositive: a bucket
@@ -49,7 +56,7 @@ void AlignedDataset::AssignProjected(const Dataset& data, Subspace subspace,
 
 void AlignedDataset::Reserve(std::size_t rows, Dim dims) {
   values_.reserve(rows * PaddedStride(dims));
-  qvalues_.reserve(rows * kQuantStride);
+  qvalues_.reserve(rows * PackedQuantStride(dims));
   lo_.reserve(dims);
   scale_.reserve(dims);
 }
@@ -58,6 +65,7 @@ void AlignedDataset::Build(const Dataset& data, const PointId* ids,
                            std::size_t n, const Dim* dims, Dim d) {
   num_dims_ = d;
   stride_ = PaddedStride(d);
+  qstride_ = PackedQuantStride(d);
   num_rows_ = n;
   has_quantized_ = false;
   quant_attempted_ = false;
@@ -123,10 +131,10 @@ bool AlignedDataset::EnsureQuantized() {
   if (!has_quantized_) return false;
 
   qvalues_.clear();
-  qvalues_.resize(n * kQuantStride, 0);
+  qvalues_.resize(n * qstride_, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const Value* src = values_.data() + i * stride_;
-    std::uint8_t* qdst = qvalues_.data() + i * kQuantStride;
+    std::uint8_t* qdst = qvalues_.data() + i * qstride_;
     for (Dim k = 0; k < d; ++k) {
       qdst[k] = Bucket(src[k], lo_[k], scale_[k]);
     }
@@ -137,7 +145,7 @@ bool AlignedDataset::EnsureQuantized() {
 bool AlignedDataset::QuantizeRow(const Value* row, std::uint8_t* out) const {
   SKYLINE_ASSERT(has_quantized_,
                  "QuantizeRow: dataset carries no quantized plane");
-  std::fill(out + num_dims_, out + kQuantStride, 0);
+  std::fill(out + num_dims_, out + qstride_, 0);
   bool finite = true;
   for (Dim k = 0; k < num_dims_; ++k) {
     finite = finite && std::isfinite(row[k]);

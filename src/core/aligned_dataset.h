@@ -17,7 +17,9 @@
 //     the same computation on the source Dataset rows;
 //   * the QUANTIZED summary plane — one byte per (row, dim), a
 //     monotone per-dimension bucketing of the exact values onto 0..255
-//     at a fixed 64-byte row stride. Monotonicity gives the prefilter
+//     packed at qstride() = num_dims rounded up to 8 bytes per row (8
+//     bytes at d <= 8, so one 64-byte compare covers eight rows; 64 at
+//     d = 64). Monotonicity gives the prefilter
 //     soundness direction: qa[i] > qb[i] implies a[i] > b[i], so a
 //     quantized "a is strictly worse somewhere" verdict PROVES a
 //     cannot dominate b and the exact plane need not be read. The
@@ -43,8 +45,10 @@
 // (FillPaddingForTesting) and re-checking results. The QUANTIZED
 // padding tail is the opposite: it is deliberately neutral (zero on
 // every row, including quantized probe rows), so the byte kernels may
-// load whole 64-byte quantized rows without masking — equal bytes can
-// never signal "worse somewhere".
+// compare whole qstride()-byte packed rows without masking — equal
+// bytes can never signal "worse somewhere". A SubsetIndex bound to the
+// dataset copies each member's packed row next to its id
+// (src/subset/subset_index.h).
 //
 // Accessor contract: `row(i)` is checked under SKYLINE_ASSERT (active in
 // Debug and SKYLINE_CHECKS builds, free in plain Release);
@@ -69,12 +73,9 @@ namespace skyline {
 
 class AlignedDataset {
  public:
-  /// Quantized rows are padded to one full cache line, so one aligned
-  /// 64-byte vector covers any row (d <= kMaxQuantDims).
-  static constexpr std::size_t kQuantStride = 64;
-
   /// Widest dimensionality the summary plane covers (one byte per
   /// dimension inside a single cache line; also Subspace::kMaxDims).
+  /// A kMaxQuantDims-byte buffer therefore holds any packed row.
   static constexpr Dim kMaxQuantDims = 64;
 
   /// Empty dataset; fill via Assign / AssignProjected.
@@ -116,6 +117,9 @@ class AlignedDataset {
   /// Row stride in Values: num_dims rounded up to a whole cache line.
   std::size_t stride() const { return stride_; }
 
+  /// Packed quantized row width in bytes: num_dims rounded up to 8.
+  std::size_t qstride() const { return qstride_; }
+
   /// Checked row accessor (free in Release without SKYLINE_CHECKS).
   const Value* row(std::size_t i) const {
     SKYLINE_ASSERT(i < num_rows_, "AlignedDataset::row: index out of range");
@@ -140,14 +144,15 @@ class AlignedDataset {
   /// 1 <= num_dims <= kMaxQuantDims with at least one row.
   bool has_quantized() const { return has_quantized_; }
 
-  /// Unchecked quantized-row accessor (64 bytes: num_dims buckets, then
-  /// neutral zero padding). Only meaningful when has_quantized().
+  /// Unchecked quantized-row accessor (qstride() bytes: num_dims
+  /// buckets, then neutral zero padding; 8-byte aligned). Only
+  /// meaningful when has_quantized().
   const std::uint8_t* qrow_unchecked(std::size_t i) const {
-    return qvalues_.data() + i * kQuantStride;
+    return qvalues_.data() + i * qstride_;
   }
 
   /// Quantizes an external probe row (num_dims values) with this
-  /// dataset's bucketing grid into `out` (kQuantStride bytes: buckets
+  /// dataset's bucketing grid into `out` (qstride() bytes: buckets
   /// then zero padding). A member row quantizes to exactly its stored
   /// summary row. Returns false — and the caller must then skip the
   /// prefilter — when the probe contains a non-finite value, for which
@@ -170,6 +175,7 @@ class AlignedDataset {
 
   Dim num_dims_ = 0;
   std::size_t stride_ = 0;
+  std::size_t qstride_ = 0;
   std::size_t num_rows_ = 0;
   bool has_quantized_ = false;
   /// EnsureQuantized already ran for the current contents (whether or

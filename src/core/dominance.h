@@ -14,9 +14,7 @@
 #define SKYLINE_CORE_DOMINANCE_H_
 
 #include <cstdint>
-#include <span>
 
-#include "src/core/cpu.h"
 #include "src/core/dataset.h"
 #include "src/core/kernels.h"
 #include "src/core/subspace.h"
@@ -98,23 +96,21 @@ inline Subspace DominatingSubspaceEx(const Value* q, const Value* p, Dim d,
 
 /// Convenience wrapper binding a Dataset and a dominance-test counter.
 ///
-/// Algorithms route all pairwise comparisons through one of these so the
-/// mean-dominance-test metric of the paper's evaluation is counted
-/// uniformly. Counter contract: **one test per pivot actually scanned**.
-/// Every single-pair call costs one O(d) row scan and charges exactly
-/// one; the batched calls (DominatesAny) charge one per pivot the
-/// equivalent scalar early-exit loop would have consumed — the number of
-/// pivots up to and including the first dominator, or the whole block
-/// when none dominates — never one per *call*. DT tables therefore stay
-/// comparable to the paper regardless of which path executed; the
-/// differential tests assert the batched and scalar charges agree.
+/// The classic algorithms route all pairwise comparisons through one of
+/// these so the mean-dominance-test metric of the paper's evaluation is
+/// counted uniformly. Counter contract: **one test per pivot actually
+/// scanned** — every call costs one O(d) row scan and charges exactly
+/// one. The batched kernels (kernels::DominatesAny and the subset
+/// index's node walk) follow the same contract: they charge one per
+/// pivot the equivalent scalar early-exit loop would have consumed, so
+/// DT tables stay comparable to the paper regardless of which path
+/// executed; the differential tests assert the batched and scalar
+/// charges agree.
 ///
 /// Internally the tester owns a padded, 64-byte-aligned copy of the
 /// dataset rows (AlignedDataset) and runs the vectorized kernels over
 /// it. The copies are bit-identical, so results match the scalar
-/// reference functions exactly. The quantized prefilter plane of that
-/// copy is built lazily on the first prefilter-sized DominatesAny
-/// window, so constructing a tester costs only the exact-row gather.
+/// reference functions exactly.
 class DominanceTester {
  public:
   explicit DominanceTester(const Dataset& data)
@@ -144,30 +140,8 @@ class DominanceTester {
     return kernels::DominatingSubspace(aligned_.row(q), aligned_.row(p), d_);
   }
 
-  /// True iff any point of `candidates` dominates q, scanning the block
-  /// in order in one batched pass. Charges one test per pivot scanned
-  /// (first dominator inclusive), exactly like the scalar loop
-  /// `for (s : candidates) if (Dominates(s, q)) break;` it replaces.
-  bool DominatesAny(std::span<const PointId> candidates, PointId q) {
-    // The quantized prefilter plane is built lazily, the first time a
-    // probe window is large enough for the kernels to use it at all.
-    // Runs whose windows stay below the threshold (correlated data,
-    // tiny skylines) never pay the O(n*d) plane build; after the first
-    // build this is a single flag test.
-    if (candidates.size() >= cpu::kPrefilterMinBlock) {
-      aligned_.EnsureQuantized();
-    }
-    const kernels::BatchProbeResult r =
-        kernels::DominatesAny(aligned_, candidates, aligned_.row(q), d_);
-    tests_ += r.scanned;
-    return r.first != kernels::kNoDominator;
-  }
-
   std::uint64_t tests() const { return tests_; }
   const Dataset& data() const { return data_; }
-
-  /// The aligned row copy the kernels run over.
-  const AlignedDataset& aligned() const { return aligned_; }
 
  private:
   const Dataset& data_;

@@ -10,13 +10,15 @@
 //   * the probe row of a one-vs-many call can be EXTERNAL packed
 //     memory of exactly d doubles (streaming arrivals), so full-width
 //     loads are only issued for whole in-bounds chunks;
-//   * quantized rows are whole 64-byte aligned lines with a neutral
-//     zero tail on both sides, so byte compares load full lines.
+//   * packed quantized rows are qstride() bytes (a multiple of 8) with
+//     a neutral zero tail on both sides; they are read with
+//     _mm256_maskload_epi64, so no load reaches past a row or a block.
 //
 // Comparison predicates are ordered-quiet (_CMP_GT_OQ/_CMP_LT_OQ):
 // false on NaN, exactly like the scalar `a > b` / `a < b`, which keeps
 // results bit-identical to src/core/simd_scalar.cc on NaN inputs.
 #include <cstdint>
+#include <cstring>
 
 #include "src/core/simd_batch.h"
 #include "src/core/simd_dispatch.h"
@@ -32,7 +34,7 @@ namespace simd {
 
 namespace {
 
-/// Lane-enable vector for a tail of r doubles (r in 1..3): the first r
+/// Lane-enable vector for r of 4 64-bit lanes (r in 1..4): the first r
 /// lanes all-ones, the rest zero.
 alignas(32) constexpr std::int64_t kTailTable[8] = {-1, -1, -1, -1,
                                                     0,  0,  0,  0};
@@ -130,21 +132,56 @@ struct Avx2 {
     }
   }
 
-  /// Quantized reject test: summary row `s` strictly above `q` somewhere
-  /// proves the exact row cannot dominate. Whole-line compare; the
-  /// padding tail is neutral zero on both sides. s <= q byte-wise iff
-  /// max_epu8(s, q) == q.
-  static bool QuantWorseSomewhere(const std::uint8_t* s,
-                                  const std::uint8_t* q) {
-    const __m256i vs0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(s));
-    const __m256i vq0 = _mm256_load_si256(reinterpret_cast<const __m256i*>(q));
-    const __m256i vs1 =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(s + 32));
-    const __m256i vq1 =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(q + 32));
-    const __m256i le0 = _mm256_cmpeq_epi8(_mm256_max_epu8(vs0, vq0), vq0);
-    const __m256i le1 = _mm256_cmpeq_epi8(_mm256_max_epu8(vs1, vq1), vq1);
-    return _mm256_movemask_epi8(_mm256_and_si256(le0, le1)) != -1;
+  /// Bit j set iff packed row j (of m contiguous rows) has no byte
+  /// above the probe row q: s <= q byte-wise iff max_epu8(s, q) == q.
+  /// 8-byte rows go four to a vector against the broadcast probe; wider
+  /// rows take one or two masked 32-byte compares each.
+  static std::uint64_t QuantMayDominate(const std::uint8_t* s, unsigned m,
+                                        const std::uint8_t* q,
+                                        std::size_t qstride) {
+    std::uint64_t out = 0;
+    if (qstride == 8) {
+      std::uint64_t q8;
+      std::memcpy(&q8, q, sizeof(q8));
+      const __m256i vq = _mm256_set1_epi64x(static_cast<long long>(q8));
+      for (unsigned j = 0; j < m; j += 4) {
+        const unsigned r = m - j < 4 ? m - j : 4;
+        const __m256i vs = _mm256_maskload_epi64(
+            reinterpret_cast<const long long*>(s + j * 8), TailMask(r));
+        const __m256i clear =
+            _mm256_cmpeq_epi64(_mm256_max_epu8(vs, vq), vq);
+        const unsigned bits = static_cast<unsigned>(
+            _mm256_movemask_pd(_mm256_castsi256_pd(clear)));
+        out |= static_cast<std::uint64_t>(bits & ((1u << r) - 1u)) << j;
+      }
+      return out;
+    }
+    const unsigned words = static_cast<unsigned>(qstride / 8);
+    const __m256i lo = TailMask(words < 4 ? words : 4);
+    const __m256i vq0 =
+        _mm256_maskload_epi64(reinterpret_cast<const long long*>(q), lo);
+    __m256i hi = _mm256_setzero_si256();
+    __m256i vq1 = _mm256_setzero_si256();
+    if (words > 4) {
+      hi = TailMask(words - 4);
+      vq1 = _mm256_maskload_epi64(reinterpret_cast<const long long*>(q + 32),
+                                  hi);
+    }
+    for (unsigned j = 0; j < m; ++j) {
+      const std::uint8_t* row = s + j * qstride;
+      const __m256i vs0 =
+          _mm256_maskload_epi64(reinterpret_cast<const long long*>(row), lo);
+      __m256i clear = _mm256_cmpeq_epi8(_mm256_max_epu8(vs0, vq0), vq0);
+      if (words > 4) {
+        const __m256i vs1 = _mm256_maskload_epi64(
+            reinterpret_cast<const long long*>(row + 32), hi);
+        clear = _mm256_and_si256(
+            clear, _mm256_cmpeq_epi8(_mm256_max_epu8(vs1, vq1), vq1));
+      }
+      out |= static_cast<std::uint64_t>(_mm256_movemask_epi8(clear) == -1)
+             << j;
+    }
+    return out;
   }
 };
 

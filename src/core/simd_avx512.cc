@@ -11,9 +11,12 @@
 //     lanes compare as the neutral 0.0 vs 0.0);
 //   * compares produce __mmask8 directly, so the D_{q<p} Subspace bits
 //     are just the compare mask shifted into place — no movemask;
-//   * one _mm512_cmpgt_epu8_mask covers the whole 64-byte quantized
-//     row in a single compare.
+//   * packed quantized rows of 8 bytes (d <= 8) are tested eight at a
+//     time: one 64-byte vector holds eight rows, and one byte max plus
+//     one 64-bit-lane compare against the broadcast probe row gives
+//     their eight verdicts; wider rows take one masked compare each.
 #include <cstdint>
+#include <cstring>
 
 #include "src/core/simd_batch.h"
 #include "src/core/simd_dispatch.h"
@@ -29,7 +32,7 @@ namespace simd {
 
 namespace {
 
-/// Lane mask enabling the first r of 8 double lanes (r in 1..7).
+/// Lane mask enabling the first r of 8 64-bit lanes (r in 1..7).
 inline __mmask8 TailMask(Dim r) {
   return static_cast<__mmask8>((1u << r) - 1u);
 }
@@ -111,13 +114,36 @@ struct Avx512 {
     }
   }
 
-  /// Quantized reject test: one 64-lane unsigned byte compare over the
-  /// whole quantized row (neutral zero padding on both sides).
-  static bool QuantWorseSomewhere(const std::uint8_t* s,
-                                  const std::uint8_t* q) {
-    const __m512i vs = _mm512_load_si512(s);
-    const __m512i vq = _mm512_load_si512(q);
-    return _mm512_cmpgt_epu8_mask(vs, vq) != 0;
+  /// Bit j set iff packed row j (of m contiguous rows) has no byte
+  /// above the probe row q. A row clears q iff max(s, q) == q byte-wise.
+  /// Masked-off 64-bit lanes are neither read nor reported, so nothing
+  /// past row m - 1 or past a row's qstride bytes is loaded.
+  static std::uint64_t QuantMayDominate(const std::uint8_t* s, unsigned m,
+                                        const std::uint8_t* q,
+                                        std::size_t qstride) {
+    std::uint64_t out = 0;
+    if (qstride == 8) {
+      std::uint64_t q8;
+      std::memcpy(&q8, q, sizeof(q8));
+      const __m512i vq = _mm512_set1_epi64(static_cast<long long>(q8));
+      for (unsigned j = 0; j < m; j += 8) {
+        const __mmask8 lanes =
+            m - j >= 8 ? static_cast<__mmask8>(0xFF) : TailMask(m - j);
+        const __m512i vs = _mm512_maskz_loadu_epi64(lanes, s + j * 8);
+        const __mmask8 clear = _mm512_mask_cmpeq_epi64_mask(
+            lanes, _mm512_max_epu8(vs, vq), vq);
+        out |= static_cast<std::uint64_t>(clear) << j;
+      }
+      return out;
+    }
+    const __mmask8 words = static_cast<__mmask8>((1u << (qstride / 8)) - 1u);
+    const __m512i vq = _mm512_maskz_loadu_epi64(words, q);
+    for (unsigned j = 0; j < m; ++j) {
+      const __m512i vs = _mm512_maskz_loadu_epi64(words, s + j * qstride);
+      out |= static_cast<std::uint64_t>(_mm512_cmpgt_epu8_mask(vs, vq) == 0)
+             << j;
+    }
+    return out;
   }
 };
 

@@ -19,9 +19,11 @@
 //                        a-strictly-worse-somewhere flag of the pair
 //                        (a, b) = (shared, rows[j]) when kSharedFirst,
 //                        (rows[j], shared) otherwise.
-//   QuantWorseSomewhere(s, q)
-//                        true iff quantized line s is above line q in
-//                        some byte (a sound non-dominance proof).
+//   QuantMayDominate(s, m, q, qstride)
+//                        for m <= 64 packed rows of qstride bytes each,
+//                        contiguous from s: bit j set iff no byte of
+//                        row j is above the probe's packed row q. A
+//                        clear bit is a sound non-dominance proof.
 //
 // The loops implement the semantics contract of src/core/kernels.h:
 // results, early-exit points and `scanned` charges identical to the
@@ -29,6 +31,7 @@
 #ifndef SKYLINE_CORE_SIMD_BATCH_H_
 #define SKYLINE_CORE_SIMD_BATCH_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -49,7 +52,7 @@ BatchProbeResult DominatesAny(const AlignedDataset& rows,
                               const Value* q_row, Dim d, bool prefilter) {
   constexpr unsigned kGroup = Isa::kGroup;
   BatchProbeResult r;
-  alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kQuantStride];
+  alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kMaxQuantDims];
   // The prefilter engages lazily, after the first exact group fails:
   // probes resolved within kGroup pivots (the common case on
   // correlated data and for dominated-heavy streams) never pay for
@@ -76,7 +79,8 @@ BatchProbeResult DominatesAny(const AlignedDataset& rows,
       // (the scalar reference loop would have scanned it) but needs no
       // exact compare.
       if (use_prefilter &&
-          Isa::QuantWorseSomewhere(rows.qrow_unchecked(id), qbuf)) {
+          Isa::QuantMayDominate(rows.qrow_unchecked(id), 1, qbuf,
+                                rows.qstride()) == 0) {
         ++i;
         continue;
       }
@@ -104,6 +108,56 @@ BatchProbeResult DominatesAny(const AlignedDataset& rows,
     }
   }
   return r;
+}
+
+template <class Isa>
+BatchProbeResult DominatesAnyPacked(const AlignedDataset& rows,
+                                    std::span<const PointId> ids,
+                                    const std::uint8_t* qrows,
+                                    const Value* q_row,
+                                    const std::uint8_t* q_quant, Dim d) {
+  if (q_quant == nullptr) {
+    return DominatesAny<Isa>(rows, ids, q_row, d, /*prefilter=*/false);
+  }
+  constexpr unsigned kGroup = Isa::kGroup;
+  constexpr std::size_t kRowsPerMask = 64;
+  const std::size_t qstride = rows.qstride();
+  const std::size_t n = ids.size();
+  // DominatesAny's group-size ramp: the first exact compare of the
+  // block tests a single member.
+  unsigned target = 1;
+  for (std::size_t base = 0; base < n; base += kRowsPerMask) {
+    const unsigned m =
+        static_cast<unsigned>(std::min(kRowsPerMask, n - base));
+    // Members whose packed row clears the probe's; the rest are proven
+    // non-dominators and cost no exact read.
+    std::uint64_t live =
+        Isa::QuantMayDominate(qrows + base * qstride, m, q_quant, qstride);
+    while (live != 0) {
+      const Value* prow[kGroup];
+      std::size_t pidx[kGroup];
+      unsigned g = 0;
+      while (live != 0 && g < target) {
+        const std::size_t i =
+            base + static_cast<unsigned>(std::countr_zero(live));
+        live &= live - 1;
+        prow[g] = rows.row_unchecked(ids[i]);
+        pidx[g] = i;
+        ++g;
+      }
+      target = kGroup;
+      const unsigned dom = Isa::Dominates(prow, g, q_row, d);
+      if (dom != 0) {
+        // Members before the first dominator were all scanned, by the
+        // packed compare or the exact one; the reference loop charges
+        // exactly those plus the dominator.
+        const std::size_t first =
+            pidx[static_cast<unsigned>(std::countr_zero(dom))];
+        return {first, first + 1};
+      }
+    }
+  }
+  return {kNoDominator, n};
 }
 
 template <class Isa>
@@ -167,6 +221,7 @@ void DominatingSubspaceExBatch(const AlignedDataset& rows,
 template <class Isa>
 inline constexpr KernelOps kBatchOps = {
     &DominatesAny<Isa>,
+    &DominatesAnyPacked<Isa>,
     &DominatingSubspaceBatch<Isa>,
     &DominatingSubspaceExBatch<Isa>,
 };

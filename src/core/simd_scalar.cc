@@ -26,30 +26,33 @@ namespace {
 
 /// True when summary row `s` is strictly above `q` in some dimension —
 /// by monotonicity that PROVES the exact row cannot dominate q. Reads
-/// the whole 64-byte line; the padding tail is neutral zero on both
-/// sides, so equal bytes never fire.
+/// the whole packed row (`qstride` bytes); the padding tail is neutral
+/// zero on both sides, so equal bytes never fire.
 bool QuantWorseSomewhere(const std::uint8_t* SKYLINE_RESTRICT s,
-                         const std::uint8_t* SKYLINE_RESTRICT q) {
+                         const std::uint8_t* SKYLINE_RESTRICT q,
+                         std::size_t qstride) {
   unsigned worse = 0;
-  for (std::size_t k = 0; k < AlignedDataset::kQuantStride; ++k) {
+  for (std::size_t k = 0; k < qstride; ++k) {
     worse |= static_cast<unsigned>(s[k] > q[k]);
   }
   return worse != 0;
 }
 
-BatchProbeResult DominatesAnyScalar(const AlignedDataset& rows,
-                                    std::span<const PointId> ids,
-                                    const Value* q_row, Dim d, bool prefilter) {
+/// The early-exit probe loop both probe kernels share. `packed_row(i)`
+/// is member i's packed row; with a null `q_quant` it is never called.
+template <class PackedRow>
+BatchProbeResult FirstDominator(const AlignedDataset& rows,
+                                std::span<const PointId> ids,
+                                const Value* q_row, Dim d,
+                                const std::uint8_t* q_quant,
+                                PackedRow packed_row) {
   BatchProbeResult r;
-  alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kQuantStride];
-  const bool use_prefilter =
-      prefilter && rows.has_quantized() && rows.QuantizeRow(q_row, qbuf);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     ++r.scanned;
     // A prefilter reject still charges: the scalar reference loop
     // would have scanned this pivot (and found it non-dominating).
-    if (use_prefilter &&
-        QuantWorseSomewhere(rows.qrow_unchecked(ids[i]), qbuf)) {
+    if (q_quant != nullptr &&
+        QuantWorseSomewhere(packed_row(i), q_quant, rows.qstride())) {
       continue;
     }
     if (Dominates(rows.row_unchecked(ids[i]), q_row, d)) {
@@ -58,6 +61,27 @@ BatchProbeResult DominatesAnyScalar(const AlignedDataset& rows,
     }
   }
   return r;
+}
+
+BatchProbeResult DominatesAnyScalar(const AlignedDataset& rows,
+                                    std::span<const PointId> ids,
+                                    const Value* q_row, Dim d, bool prefilter) {
+  alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kMaxQuantDims];
+  const bool use_prefilter =
+      prefilter && rows.has_quantized() && rows.QuantizeRow(q_row, qbuf);
+  return FirstDominator(
+      rows, ids, q_row, d, use_prefilter ? qbuf : nullptr,
+      [&](std::size_t i) { return rows.qrow_unchecked(ids[i]); });
+}
+
+BatchProbeResult DominatesAnyPackedScalar(const AlignedDataset& rows,
+                                          std::span<const PointId> ids,
+                                          const std::uint8_t* qrows,
+                                          const Value* q_row,
+                                          const std::uint8_t* q_quant, Dim d) {
+  return FirstDominator(rows, ids, q_row, d, q_quant, [&](std::size_t i) {
+    return qrows + i * rows.qstride();
+  });
 }
 
 BatchSubspaceResult DominatingSubspaceBatchScalar(const AlignedDataset& rows,
@@ -95,6 +119,7 @@ void DominatingSubspaceExBatchScalar(const AlignedDataset& rows,
 
 const KernelOps kScalarOps = {
     &DominatesAnyScalar,
+    &DominatesAnyPackedScalar,
     &DominatingSubspaceBatchScalar,
     &DominatingSubspaceExBatchScalar,
 };

@@ -30,7 +30,7 @@ std::size_t UnitsFor(std::size_t points) {
 // this engine holds no lock. The two parallel steps of a block write only
 // the slots of the unit they execute (the `dominated` flags of the
 // unit's points and the unit's StatsAccumulator slot) and read only what the
-// owning thread froze before the step started (`aligned`, the Merge
+// owning thread froze before the step started (`rows`, the Merge
 // output, `index`, the step-1 survivors). The owning thread mutates
 // `index` only between steps; WorkerTeam::ForEachUnit orders every step
 // after the owner's earlier writes and before its later reads. A unit
@@ -50,14 +50,15 @@ std::vector<PointId> ParallelSubsetSfs::Compute(const Dataset& data,
   const std::size_t m = ids.size();
   const std::size_t block = block_size_ > 0 ? block_size_ : kDefaultBlockSize;
 
-  // One shared, padded, cache-line-aligned copy of the rows for the
-  // vectorized kernels. Read-only once the steps start, which is why the
-  // (otherwise lazy) quantized prefilter plane is built up front.
-  AlignedDataset aligned(data);
-  aligned.EnsureQuantized();
+  // One shared, padded, cache-line-aligned copy of the scanned rows for
+  // the vectorized kernels, read-only once the steps start: survivor i
+  // is row P + i (GatherScanRows), and its quantized plane exists
+  // before the first Add.
+  const AlignedDataset rows = GatherScanRows(data, merge);
+  const std::size_t num_pivots = merge.pivots.size();
 
   // Accepted survivors, under their masks; pivots stay out.
-  SubsetIndex index(d);
+  SubsetIndex index(d, &rows);
   std::vector<PointId> result = merge.pivots;
   SkylineStats total;
   total.dominance_tests = merge.dominance_tests;
@@ -68,10 +69,10 @@ std::vector<PointId> ParallelSubsetSfs::Compute(const Dataset& data,
   WorkerTeam team(EffectiveWorkers(threads_, UnitsFor(std::min(block, m))));
   std::vector<std::uint8_t> dominated(std::min(block, m));
   std::vector<std::size_t> survivors;  // step-1 survivors, as positions
-  // Dense copies of their masks and ids: the step-2 gather reads them
+  // Dense copies of their masks and rows: the step-2 gather reads them
   // O(block²) times per block.
   std::vector<std::uint64_t> survivor_bits;
-  std::vector<PointId> survivor_ids;
+  std::vector<PointId> survivor_rows;
 
   for (std::size_t begin = 0; begin < m; begin += block) {
     const std::size_t size = std::min(block, m - begin);
@@ -80,30 +81,24 @@ std::vector<PointId> ParallelSubsetSfs::Compute(const Dataset& data,
     StatsAccumulator probe_stats(UnitsFor(size));
     team.ForEachUnit(probe_stats.num_slots(), [&](std::size_t unit) {
       SkylineStats& s = probe_stats.slot(unit);
-      std::vector<PointId> candidates;
       const std::size_t last = std::min(size, (unit + 1) * kPointsPerUnit);
       for (std::size_t k = unit * kPointsPerUnit; k < last; ++k) {
         const std::size_t i = begin + k;
-        candidates.clear();
-        index.Query(masks[i], &candidates, &s.index_nodes_visited);
-        ++s.index_queries;
-        s.index_candidates += candidates.size();
-        const kernels::BatchProbeResult probe =
-            kernels::DominatesAny(aligned, candidates, aligned.row(ids[i]), d);
-        s.dominance_tests += probe.scanned;
-        dominated[k] = probe.first != kernels::kNoDominator;
+        dominated[k] = index.FindDominator(
+                           masks[i], static_cast<PointId>(num_pivots + i),
+                           &s).first != kernels::kNoDominator;
       }
     });
     total.Accumulate(probe_stats.Combine());
 
     survivors.clear();
     survivor_bits.clear();
-    survivor_ids.clear();
+    survivor_rows.clear();
     for (std::size_t k = 0; k < size; ++k) {
       if (dominated[k] != 0) continue;
       survivors.push_back(k);
       survivor_bits.push_back(masks[begin + k].bits());
-      survivor_ids.push_back(ids[begin + k]);
+      survivor_rows.push_back(static_cast<PointId>(num_pivots + begin + k));
     }
 
     // Step 2: test each survivor against the earlier survivors of the
@@ -122,12 +117,12 @@ std::vector<PointId> ParallelSubsetSfs::Compute(const Dataset& data,
         const std::uint64_t need = survivor_bits[j];
         std::size_t found = 0;
         for (std::size_t e = 0; e < j; ++e) {
-          candidates[found] = survivor_ids[e];
+          candidates[found] = survivor_rows[e];
           found += (survivor_bits[e] & need) == need ? 1 : 0;
         }
         const kernels::BatchProbeResult probe = kernels::DominatesAny(
-            aligned, std::span<const PointId>(candidates.data(), found),
-            aligned.row(survivor_ids[j]), d);
+            rows, std::span<const PointId>(candidates.data(), found),
+            rows.row(survivor_rows[j]), d);
         s.dominance_tests += probe.scanned;
         dominated[survivors[j]] = probe.first != kernels::kNoDominator;
       }
@@ -138,7 +133,8 @@ std::vector<PointId> ParallelSubsetSfs::Compute(const Dataset& data,
     for (std::size_t k : survivors) {
       if (dominated[k] != 0) continue;
       result.push_back(ids[begin + k]);
-      index.Add(ids[begin + k], masks[begin + k]);
+      index.Add(static_cast<PointId>(num_pivots + begin + k),
+                masks[begin + k]);
     }
   }
 

@@ -549,8 +549,7 @@ std::vector<PointId> QueryService::Query(Subspace v,
 }
 
 bool QueryService::PeekExact(Subspace v, std::vector<PointId>* ids,
-                             std::uint64_t* epoch_out,
-                             std::uint64_t* epoch_delta) {
+                             std::uint64_t* epoch_out) {
   CheckSubspace(
       v, num_dims_,
       "PeekExact: empty subspace or one outside the dataset's space");
@@ -559,15 +558,13 @@ bool QueryService::PeekExact(Subspace v, std::vector<PointId>* ids,
   if (it == cache_.end()) return false;
   const EntryPtr& entry = it->second;
   if (!entry->ready.load(std::memory_order_acquire)) return false;
-  // epoch-ok: a stale entry is surfaced only to callers that asked for
-  // the delta — a pre-update answer is never returned silently.
-  const std::uint64_t delta = version_->epoch - entry->epoch;
-  if (delta != 0 && epoch_delta == nullptr) return false;
+  // epoch-ok: only a current-epoch entry is returned — a pre-update
+  // answer is never served.
+  if (entry->epoch != version_->epoch) return false;
   entry->last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
                          std::memory_order_relaxed);
   if (ids != nullptr) *ids = entry->published_ids();
   if (epoch_out != nullptr) *epoch_out = entry->epoch;
-  if (epoch_delta != nullptr) *epoch_delta = delta;
   return true;
 }
 

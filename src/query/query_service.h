@@ -40,10 +40,9 @@
 //     it alone dominated may surface).
 //
 // Stale entries never answer Query() (they read as misses and are
-// replaced), never seed misses, and are only visible to readers that
-// take the epoch delta with the answer: PeekExact's opt-in and
-// PeekStale — the bounded-staleness read behind SkylineServer's
-// kServeStale policy.
+// replaced), never seed misses, and are only visible through PeekStale,
+// which returns the epoch delta with the answer — the bounded-staleness
+// read behind SkylineServer's kServeStale policy.
 // In-flight computations that an update overtakes are detached from
 // the cache: their waiters still get the pre-update answer (tagged with
 // the entry's epoch) but the result is never cached under the new
@@ -263,19 +262,15 @@ class QueryService {
   /// Copies the current counters; safe to call concurrently.
   QueryStatsSnapshot Stats() const SKYLINE_EXCLUDES(cache_mu_);
 
-  /// Non-blocking exact lookup: if the cuboid `v` is cached and ready,
-  /// copies its ids into `*ids` (when non-null), touches the LRU stamp,
-  /// and returns true. Never computes and never waits on an in-flight
-  /// entry. Counted neither as a hit nor as a query.
-  ///
-  /// Epoch contract: with `epoch_delta == nullptr` only entries stamped
-  /// with the CURRENT epoch are returned — a pre-update answer is never
-  /// served silently. Passing `epoch_delta` opts into stale entries:
-  /// `*epoch_delta` receives current − entry epoch (0 when current) and
-  /// `*epoch_out` (when non-null) the entry's epoch.
+  /// Non-blocking exact lookup: if the cuboid `v` is cached, ready and
+  /// stamped with the CURRENT epoch, copies its ids into `*ids` (when
+  /// non-null) and that epoch into `*epoch_out` (when non-null), touches
+  /// the LRU stamp, and returns true. A pre-update answer is never
+  /// returned; stale reads go through PeekStale. Never computes and
+  /// never waits on an in-flight entry. Counted neither as a hit nor as
+  /// a query.
   bool PeekExact(Subspace v, std::vector<PointId>* ids,
-                 std::uint64_t* epoch_out = nullptr,
-                 std::uint64_t* epoch_delta = nullptr)
+                 std::uint64_t* epoch_out = nullptr)
       SKYLINE_EXCLUDES(cache_mu_);
 
   /// Non-blocking nearest-ancestor lookup: if any ready current-epoch

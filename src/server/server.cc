@@ -157,8 +157,8 @@ ResponseHandle SkylineServer::Submit(Subspace v,
   if (options_.inline_fast_hits) {
     std::vector<PointId> ids;
     std::uint64_t epoch = 0;
-    // epoch-ok: no epoch_delta passed, so PeekExact only surfaces
-    // current-epoch entries — an inline fast hit is never pre-update.
+    // epoch-ok: PeekExact only surfaces current-epoch entries — an
+    // inline fast hit is never pre-update.
     if (service_.PeekExact(v, &ids, &epoch)) {
       fast_hits_.fetch_add(1, std::memory_order_relaxed);
       admission_resolved_.fetch_add(1, std::memory_order_relaxed);

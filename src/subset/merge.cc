@@ -224,6 +224,14 @@ void SortSurvivorsByScore(const Dataset& data, ScoreFunction f,
   }
 }
 
+AlignedDataset GatherScanRows(const Dataset& data, const MergeResult& merge) {
+  std::vector<PointId> ids = merge.pivots;
+  ids.insert(ids.end(), merge.remaining.begin(), merge.remaining.end());
+  AlignedDataset rows(data, ids);
+  rows.EnsureQuantized();
+  return rows;
+}
+
 MergeResult MergeSubspaces(const Dataset& data, int sigma) {
   std::vector<PointId> ids(data.num_points());
   std::iota(ids.begin(), ids.end(), PointId{0});

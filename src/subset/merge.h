@@ -16,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "src/core/aligned_dataset.h"
 #include "src/core/dataset.h"
 #include "src/core/scores.h"
 #include "src/core/subspace.h"
@@ -70,6 +71,15 @@ MergeResult MergeSubspacesOver(const Dataset& data,
 /// cannot drift apart.
 void SortSurvivorsByScore(const Dataset& data, ScoreFunction f,
                           MergeResult* merge);
+
+/// The rows a boosted scan over `merge` reads, gathered into one dense
+/// block: the pivots, then the survivors in `remaining` order, so row
+/// `pivots.size() + i` holds `remaining[i]`. The block's quantized
+/// plane is built up front, because a SubsetIndex over the block copies
+/// each member's packed row when the member is added. Rows Merge pruned
+/// are left out, so the block and its plane stay small when Merge
+/// prunes most points (correlated data).
+AlignedDataset GatherScanRows(const Dataset& data, const MergeResult& merge);
 
 }  // namespace skyline
 

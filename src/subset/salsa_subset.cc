@@ -1,7 +1,8 @@
 #include <algorithm>
 #include <limits>
 
-#include "src/core/dominance.h"
+#include "src/core/aligned_dataset.h"
+#include "src/core/kernels.h"
 #include "src/core/scores.h"
 #include "src/subset/boosted.h"
 #include "src/subset/merge.h"
@@ -18,8 +19,14 @@ std::vector<PointId> SalsaSubset::Compute(const Dataset& data,
   const int sigma = EffectiveSigma(options_.sigma, d);
   MergeResult merge = MergeSubspaces(data, sigma);
 
-  SubsetIndex index(d);
-  for (PointId pv : merge.pivots) index.AddAlwaysCandidate(pv);
+  // The index holds rows of the scan block: pivot k is row k, survivor
+  // i is row P + i.
+  const AlignedDataset rows = GatherScanRows(data, merge);
+  const std::size_t num_pivots = merge.pivots.size();
+  SubsetIndex index(d, &rows);
+  for (std::size_t k = 0; k < num_pivots; ++k) {
+    index.AddAlwaysCandidate(static_cast<PointId>(k));
+  }
   std::vector<PointId> result = merge.pivots;
 
   // The stop value must account for the pivot skyline points too: they
@@ -48,30 +55,25 @@ std::vector<PointId> SalsaSubset::Compute(const Dataset& data,
     return pa < pb;
   });
 
-  DominanceTester tester(data);
   SkylineStats local;
-  std::vector<PointId> candidates;
   for (std::size_t i : order) {
     const PointId q = merge.remaining[i];
     if (mins[q] > stop_value) break;  // every later point is dominated
+    const PointId row = static_cast<PointId>(num_pivots + i);
     const Subspace mask = merge.subspaces[i];
-    candidates.clear();
-    index.Query(mask, &candidates, &local.index_nodes_visited);
-    ++local.index_queries;
-    local.index_candidates += candidates.size();
-    // One batched kernel pass over the candidate block (charges one test
-    // per candidate scanned, early exit at the first dominator).
-    const bool dominated = tester.DominatesAny(candidates, q);
-    if (!dominated) {
+    // One node-by-node probe of the index (charges one test per member
+    // scanned, early exit at the first dominator).
+    if (index.FindDominator(mask, row, &local).first ==
+        kernels::kNoDominator) {
       result.push_back(q);
-      index.Add(q, mask);
+      index.Add(row, mask);
       stop_value = std::min(stop_value, max_coord_of(q));
     }
   }
 
   if (stats != nullptr) {
     *stats = local;
-    stats->dominance_tests = merge.dominance_tests + tester.tests();
+    stats->dominance_tests += merge.dominance_tests;
     stats->pivot_count = merge.pivots.size();
     stats->merge_pruned = merge.pruned;
     stats->skyline_size = result.size();

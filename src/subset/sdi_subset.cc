@@ -1,7 +1,8 @@
 #include <algorithm>
 #include <limits>
 
-#include "src/core/dominance.h"
+#include "src/core/aligned_dataset.h"
+#include "src/core/kernels.h"
 #include "src/core/scores.h"
 #include "src/subset/boosted.h"
 #include "src/subset/merge.h"
@@ -25,8 +26,14 @@ std::vector<PointId> SdiSubset::Compute(const Dataset& data,
   const int sigma = EffectiveSigma(options_.sigma, d);
   MergeResult merge = MergeSubspaces(data, sigma);
 
-  SubsetIndex index(d);
-  for (PointId pv : merge.pivots) index.AddAlwaysCandidate(pv);
+  // The index holds rows of the scan block: pivot k is row k, survivor
+  // i is row P + i.
+  const AlignedDataset rows = GatherScanRows(data, merge);
+  const std::size_t num_pivots = merge.pivots.size();
+  SubsetIndex index(d, &rows);
+  for (std::size_t k = 0; k < num_pivots; ++k) {
+    index.AddAlwaysCandidate(static_cast<PointId>(k));
+  }
   std::vector<PointId> result = merge.pivots;
   if (merge.remaining.empty()) {
     if (stats != nullptr) {
@@ -38,10 +45,13 @@ std::vector<PointId> SdiSubset::Compute(const Dataset& data,
     return result;
   }
 
-  // Subspace of each surviving point, addressed by point id.
+  // Subspace and scan-block row of each surviving point, addressed by
+  // point id.
   std::vector<Subspace> masks(n);
+  std::vector<PointId> row_of(n);
   for (std::size_t i = 0; i < merge.remaining.size(); ++i) {
     masks[merge.remaining[i]] = merge.subspaces[i];
+    row_of[merge.remaining[i]] = static_cast<PointId>(num_pivots + i);
   }
 
   // ---- Sort phase over the surviving points. ----
@@ -68,9 +78,7 @@ std::vector<PointId> SdiSubset::Compute(const Dataset& data,
   Dim dims_done = 0;
   std::size_t resolved = 0;
 
-  DominanceTester tester(data);
   SkylineStats local;
-  std::vector<PointId> candidates;
 
   auto fast_forward = [&](Dim k) {
     auto& ids = dim_index[k];
@@ -92,19 +100,18 @@ std::vector<PointId> SdiSubset::Compute(const Dataset& data,
     // Candidate dominators via the subset index (Lemma 5.1). Every
     // already-accepted skyline point lives in the index, so this covers
     // all resolved dominators regardless of which dimension resolved them.
-    candidates.clear();
-    index.Query(masks[p], &candidates, &local.index_nodes_visited);
-    ++local.index_queries;
-    local.index_candidates += candidates.size();
-    // One batched kernel pass over the candidate block (charges one test
-    // per candidate scanned, early exit at the first dominator).
-    bool dominated = tester.DominatesAny(candidates, p);
+    // One node-by-node probe (charges one test per member scanned, early
+    // exit at the first dominator).
+    bool dominated = index.FindDominator(masks[p], row_of[p], &local).first !=
+                     kernels::kNoDominator;
     if (!dominated) {
       // Duplicate dimension values: unresolved dominators can share p's
       // dim-k value — SFS-like local tests inside the tie block.
       const Value v = data.at(p, k);
       for (std::size_t j = c + 1; j < m && data.at(ids[j], k) == v; ++j) {
-        if (tester.Dominates(ids[j], p)) {
+        ++local.dominance_tests;
+        if (kernels::Dominates(rows.row(row_of[ids[j]]), rows.row(row_of[p]),
+                               d)) {
           dominated = true;
           break;
         }
@@ -114,7 +121,7 @@ std::vector<PointId> SdiSubset::Compute(const Dataset& data,
     ++resolved;
     if (!dominated) {
       result.push_back(p);
-      index.Add(p, masks[p]);
+      index.Add(row_of[p], masks[p]);
     }
     return !dominated;
   };
@@ -147,7 +154,7 @@ std::vector<PointId> SdiSubset::Compute(const Dataset& data,
 
   if (stats != nullptr) {
     *stats = local;
-    stats->dominance_tests = merge.dominance_tests + tester.tests();
+    stats->dominance_tests += merge.dominance_tests;
     stats->pivot_count = merge.pivots.size();
     stats->merge_pruned = merge.pruned;
     stats->skyline_size = result.size();

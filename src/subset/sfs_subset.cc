@@ -1,4 +1,5 @@
-#include "src/core/dominance.h"
+#include "src/core/aligned_dataset.h"
+#include "src/core/kernels.h"
 #include "src/subset/boosted.h"
 #include "src/subset/merge.h"
 #include "src/subset/subset_index.h"
@@ -15,37 +16,36 @@ std::vector<PointId> SfsSubset::Compute(const Dataset& data,
   const int sigma = EffectiveSigma(options_.sigma, d);
   MergeResult merge = MergeSubspaces(data, sigma);
 
-  SubsetIndex index(d);
-  for (PointId pv : merge.pivots) index.AddAlwaysCandidate(pv);
+  // Phase 2: SFS over the surviving points, in monotone score order. The
+  // index holds rows of the scan block: pivot k is row k, survivor i is
+  // row P + i, so the probes read the block front to back.
+  SortSurvivorsByScore(data, options_.sort, &merge);
+  const AlignedDataset rows = GatherScanRows(data, merge);
+  const std::size_t num_pivots = merge.pivots.size();
+  SubsetIndex index(d, &rows);
+  for (std::size_t k = 0; k < num_pivots; ++k) {
+    index.AddAlwaysCandidate(static_cast<PointId>(k));
+  }
   std::vector<PointId> result = merge.pivots;
 
-  // Phase 2: SFS over the surviving points, in monotone score order.
-  SortSurvivorsByScore(data, options_.sort, &merge);
-
-  DominanceTester tester(data);
   SkylineStats local;
-  std::vector<PointId> candidates;
   for (std::size_t i = 0; i < merge.remaining.size(); ++i) {
-    const PointId q = merge.remaining[i];
+    const PointId row = static_cast<PointId>(num_pivots + i);
     const Subspace mask = merge.subspaces[i];
     // Lemma 5.1: only skyline points whose subspace is a superset of
-    // D_{q<S} can dominate q — fetch exactly those.
-    candidates.clear();
-    index.Query(mask, &candidates, &local.index_nodes_visited);
-    ++local.index_queries;
-    local.index_candidates += candidates.size();
-    // One batched kernel pass over the candidate block (charges one test
-    // per candidate scanned, early exit at the first dominator).
-    const bool dominated = tester.DominatesAny(candidates, q);
-    if (!dominated) {
-      result.push_back(q);
-      index.Add(q, mask);
+    // D_{q<S} can dominate q — the probe scans exactly those, node by
+    // node (charges one test per member scanned, early exit at the
+    // first dominator).
+    if (index.FindDominator(mask, row, &local).first ==
+        kernels::kNoDominator) {
+      result.push_back(merge.remaining[i]);
+      index.Add(row, mask);
     }
   }
 
   if (stats != nullptr) {
     *stats = local;
-    stats->dominance_tests = merge.dominance_tests + tester.tests();
+    stats->dominance_tests += merge.dominance_tests;
     stats->pivot_count = merge.pivots.size();
     stats->merge_pruned = merge.pruned;
     stats->skyline_size = result.size();

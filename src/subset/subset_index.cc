@@ -2,10 +2,31 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 
 #include "src/core/contracts.h"
+#include "src/core/cpu.h"
 
 namespace skyline {
+
+SubsetIndex::SubsetIndex(Dim num_dims, const AlignedDataset* rows)
+    : num_dims_(num_dims),
+      rows_(rows),
+      qstride_(rows != nullptr && rows->has_quantized() ? rows->qstride()
+                                                         : 0) {
+  SKYLINE_ASSERT(rows == nullptr || rows->num_dims() == num_dims,
+                 "SubsetIndex: bound dataset has a different dimensionality");
+}
+
+void SubsetIndex::AppendMember(Node* node, PointId id) const {
+  SKYLINE_ASSERT(rows_ == nullptr || id < rows_->num_rows(),
+                 "SubsetIndex: id names no row of the bound dataset");
+  node->points.push_back(id);
+  if (qstride_ != 0) {
+    const std::uint8_t* row = rows_->qrow_unchecked(id);
+    node->qrows.insert(node->qrows.end(), row, row + qstride_);
+  }
+}
 
 void SubsetIndex::Add(PointId id, Subspace subspace) {
   SKYLINE_ASSERT(subspace.IsSubsetOf(Subspace::Full(num_dims_)),
@@ -23,7 +44,7 @@ void SubsetIndex::Add(PointId id, Subspace subspace) {
     }
     node = it->second.get();
   });
-  node->points.push_back(id);
+  AppendMember(node, id);
   ++num_points_;
 #ifdef SKYLINE_CHECKS
   shadow_.emplace(id, subspace.bits());
@@ -32,7 +53,7 @@ void SubsetIndex::Add(PointId id, Subspace subspace) {
 }
 
 void SubsetIndex::AddAlwaysCandidate(PointId id) {
-  root_.points.push_back(id);
+  AppendMember(&root_, id);
   ++num_points_;
 #ifdef SKYLINE_CHECKS
   // Root storage is equivalent to Add(id, Full): the entry qualifies for
@@ -85,6 +106,46 @@ void SubsetIndex::Query(Subspace subspace, std::vector<PointId>* out,
 #else
   (void)before;
 #endif
+}
+
+void SubsetIndex::ProbeNode(const Node& node, Probe* probe) const {
+  // QueryNode's walk, with the node's members scanned in place of being
+  // appended: `candidates` counts the members before this node, i.e.
+  // this node's offset in Query's output.
+  ++probe->nodes;
+  if (probe->result.first == kernels::kNoDominator && !node.points.empty()) {
+    const kernels::BatchProbeResult r = kernels::DominatesAnyPacked(
+        *rows_, node.points, node.qrows.data(), probe->q_row, probe->q_quant,
+        num_dims_);
+    probe->result.scanned += r.scanned;
+    if (r.first != kernels::kNoDominator) {
+      probe->result.first = probe->candidates + r.first;
+    }
+  }
+  probe->candidates += node.points.size();
+  for (const auto& [dim, child] : node.children) {
+    if (probe->reversed.Contains(dim)) ProbeNode(*child, probe);
+  }
+}
+
+kernels::BatchProbeResult SubsetIndex::FindDominator(
+    Subspace subspace, PointId q, SkylineStats* stats) const {
+  SKYLINE_ASSERT(rows_ != nullptr, "FindDominator: index has no bound dataset");
+  SKYLINE_ASSERT(q < rows_->num_rows(), "FindDominator: probe out of range");
+  Probe probe;
+  probe.q_row = rows_->row_unchecked(q);
+  // The probe is a row of the bound dataset, so its packed row is
+  // already in the plane: nothing to quantize.
+  if (qstride_ != 0 && cpu::PrefilterEnabled()) {
+    probe.q_quant = rows_->qrow_unchecked(q);
+  }
+  probe.reversed = subspace.Complement(num_dims_);
+  ProbeNode(root_, &probe);
+  ++stats->index_queries;
+  stats->index_candidates += probe.candidates;
+  stats->index_nodes_visited += probe.nodes;
+  stats->dominance_tests += probe.result.scanned;
+  return probe.result;
 }
 
 void SubsetIndex::CollectSubtree(const Node& node, std::vector<PointId>* out,
@@ -162,6 +223,7 @@ std::size_t SubsetIndex::CountSubtreeNodes(const Node& node) {
 
 void SubsetIndex::MergeNodes(Node* dst, Node&& src, std::size_t* new_nodes) {
   dst->points.insert(dst->points.end(), src.points.begin(), src.points.end());
+  dst->qrows.insert(dst->qrows.end(), src.qrows.begin(), src.qrows.end());
   for (auto& [dim, child] : src.children) {
     auto it = std::lower_bound(
         dst->children.begin(), dst->children.end(), dim,
@@ -179,6 +241,8 @@ void SubsetIndex::MergeNodes(Node* dst, Node&& src, std::size_t* new_nodes) {
 void SubsetIndex::MergeFrom(SubsetIndex&& other) {
   SKYLINE_ASSERT(other.num_dims_ == num_dims_,
                  "MergeFrom: dimensionality mismatch");
+  SKYLINE_ASSERT(other.rows_ == rows_ && other.qstride_ == qstride_,
+                 "MergeFrom: indexes bound to different datasets");
   std::size_t new_nodes = 0;
   const std::size_t moved_points = other.num_points_;
   MergeNodes(&root_, std::move(other.root_), &new_nodes);
@@ -221,8 +285,16 @@ bool SubsetIndex::Remove(PointId id, Subspace subspace) {
   if (!found_path) return false;
   auto it = std::find(node->points.begin(), node->points.end(), id);
   if (it == node->points.end()) return false;
+  // Swap with the back, moving the back member's packed row with it.
+  const std::size_t slot = static_cast<std::size_t>(it - node->points.begin());
   *it = node->points.back();
   node->points.pop_back();
+  if (qstride_ != 0) {
+    std::memmove(node->qrows.data() + slot * qstride_,
+                 node->qrows.data() + node->points.size() * qstride_,
+                 qstride_);
+    node->qrows.resize(node->points.size() * qstride_);
+  }
   --num_points_;
   // Reclaim the now-dead tail: a node with no points and no children can
   // never satisfy a query, so num_nodes() keeps meaning live nodes.
@@ -274,10 +346,21 @@ std::size_t SubsetIndex::Compact() {
 void SubsetIndex::ValidateAccounting() const {
   struct Walker {
     Dim num_dims;
+    const AlignedDataset* rows;
+    std::size_t qstride;
     std::size_t nodes = 0;
     std::size_t points = 0;
     void Walk(const Node& node, int min_key) {
       points += node.points.size();
+      // Every member's packed row travels with its id.
+      SKYLINE_DCHECK(node.qrows.size() == node.points.size() * qstride,
+                     "index: packed rows out of step with the node's ids");
+      for (std::size_t i = 0; qstride != 0 && i < node.points.size(); ++i) {
+        SKYLINE_DCHECK(std::memcmp(node.qrows.data() + i * qstride,
+                                   rows->qrow_unchecked(node.points[i]),
+                                   qstride) == 0,
+                       "index: a member's packed row is not its id's row");
+      }
       int last = min_key;
       for (const auto& [dim, child] : node.children) {
         SKYLINE_DCHECK(child != nullptr, "index: null child node");
@@ -295,7 +378,7 @@ void SubsetIndex::ValidateAccounting() const {
       }
     }
   };
-  Walker w{num_dims_};
+  Walker w{num_dims_, rows_, qstride_};
   w.Walk(root_, -1);
   SKYLINE_DCHECK(w.nodes == num_nodes_,
                  "index: num_nodes_ accounting out of sync with the tree");

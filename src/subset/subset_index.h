@@ -18,11 +18,22 @@
 // the bench_ablation_index comparison against a brute-force superset
 // filter.
 //
-// Thread safety: the const members (Query, QueryContained, num_*) touch
-// no mutable state, so any number of threads may query one index
-// concurrently as long as no thread mutates it — the parallel subset
-// engine relies on this for its block probes. Mutations (Add,
-// Remove, MergeFrom) require exclusive access.
+// Probing in place: an index bound to an AlignedDataset keeps each
+// member's packed quantized row (AlignedDataset::qrow_unchecked, qstride
+// bytes) next to its id, contiguous within the member's node and in the
+// same order as the ids. FindDominator then answers "does any stored
+// point dominate q?" by walking the nodes Query would visit, in Query's
+// order, with one packed-row kernel call per node
+// (kernels::DominatesAnyPacked): no candidate list is built, and an
+// exact row is read only for the members the packed compare cannot
+// reject. Results, dominance-test charges and the index counters equal
+// those of Query followed by kernels::DominatesAny on its output.
+//
+// Thread safety: the const members (Query, QueryContained,
+// FindDominator, num_*) touch no mutable state, so any number of
+// threads may query one index concurrently as long as no thread
+// mutates it — the parallel subset engine relies on this for its block
+// probes. Mutations (Add, Remove, MergeFrom) require exclusive access.
 #ifndef SKYLINE_SUBSET_SUBSET_INDEX_H_
 #define SKYLINE_SUBSET_SUBSET_INDEX_H_
 
@@ -34,7 +45,10 @@
 #include <unordered_map>
 #endif
 
+#include "src/core/aligned_dataset.h"
 #include "src/core/contracts.h"
+#include "src/core/kernels.h"
+#include "src/core/stats.h"
 #include "src/core/subspace.h"
 #include "src/core/types.h"
 
@@ -44,8 +58,12 @@ namespace skyline {
 /// for a query subspace Q, all ids stored with a subspace ⊇ Q.
 class SubsetIndex {
  public:
-  /// An index over subspaces of a `num_dims`-dimensional space.
-  explicit SubsetIndex(Dim num_dims) : num_dims_(num_dims) {}
+  /// An index over subspaces of a `num_dims`-dimensional space. With
+  /// `rows` (num_dims dimensions), every stored id names a row of that
+  /// dataset and FindDominator is available; when `rows` carries its
+  /// quantized plane at construction, each member also keeps a copy of
+  /// its packed row. `rows` must outlive the index and stay unchanged.
+  explicit SubsetIndex(Dim num_dims, const AlignedDataset* rows = nullptr);
 
   SubsetIndex(SubsetIndex&&) = default;
   SubsetIndex& operator=(SubsetIndex&&) = default;
@@ -65,6 +83,21 @@ class SubsetIndex {
   /// incremented by the number of tree nodes touched.
   void Query(Subspace subspace, std::vector<PointId>* out,
              std::uint64_t* nodes_visited = nullptr) const;
+
+  /// Query fused with the dominance scan over its output: walks the
+  /// nodes Query(subspace) visits, in Query's order, testing each
+  /// node's members against row `q` of the bound dataset with one
+  /// kernels::DominatesAnyPacked call per node, and stops scanning at
+  /// the first dominator. Returns what kernels::DominatesAny returns on
+  /// Query's output (`first` is a position in it). Adds to `*stats` what
+  /// that pair reports: one index query, Query's whole candidate count
+  /// and node count (nodes after an early exit are counted, not
+  /// scanned), and `scanned` dominance tests. The packed prefilter runs
+  /// when the members carry rows and SKYLINE_PREFILTER allows it;
+  /// otherwise the same walk runs exact compares. Requires a bound
+  /// dataset.
+  kernels::BatchProbeResult FindDominator(Subspace subspace, PointId q,
+                                          SkylineStats* stats) const;
 
   /// The mirror query: appends every id stored with a subspace ⊆
   /// `subspace`. By Lemma 4.3 these are the only stored points a point
@@ -88,11 +121,11 @@ class SubsetIndex {
   /// want to assert the no-dead-nodes invariant explicitly.
   std::size_t Compact();
 
-  /// Splices every entry of `other` (same dimensionality) into this
-  /// index, leaving `other` empty. Equivalent to replaying every Add of
-  /// `other` on this index, in tree order; shared paths are reused, so
-  /// merging T thread-local indexes costs O(total nodes), not O(total
-  /// adds).
+  /// Splices every entry of `other` (same dimensionality and bound
+  /// dataset) into this index, leaving `other` empty. Equivalent to
+  /// replaying every Add of `other` on this index, in tree order; shared
+  /// paths are reused, so merging T thread-local indexes costs O(total
+  /// nodes), not O(total adds).
   void MergeFrom(SubsetIndex&& other);
 
   Dim num_dims() const { return num_dims_; }
@@ -110,7 +143,25 @@ class SubsetIndex {
     /// strictly increase, so each stored subspace has a unique path.
     std::vector<std::pair<Dim, std::unique_ptr<Node>>> children;
     std::vector<PointId> points;
+    /// Packed quantized rows of `points`, in the same order
+    /// (points.size() * qstride_ bytes; empty when qstride_ == 0).
+    std::vector<std::uint8_t> qrows;
   };
+
+  /// State of one FindDominator walk.
+  struct Probe {
+    const Value* q_row = nullptr;
+    const std::uint8_t* q_quant = nullptr;  ///< Null: exact compares only.
+    Subspace reversed;
+    kernels::BatchProbeResult result;
+    std::uint64_t candidates = 0;
+    std::uint64_t nodes = 0;
+  };
+
+  /// Appends `id` (and its packed row, when members carry rows).
+  void AppendMember(Node* node, PointId id) const;
+
+  void ProbeNode(const Node& node, Probe* probe) const;
 
   static void QueryNode(const Node& node, Subspace reversed,
                         std::vector<PointId>* out,
@@ -135,6 +186,10 @@ class SubsetIndex {
   static void CompactNode(Node* node, std::size_t* pruned);
 
   Dim num_dims_;
+  /// Dataset the ids name rows of (null: a plain id index).
+  const AlignedDataset* rows_;
+  /// Packed row width the members carry (0: they carry none).
+  std::size_t qstride_;
   Node root_;
   std::size_t num_nodes_ = 0;
   std::size_t num_points_ = 0;
@@ -147,8 +202,9 @@ class SubsetIndex {
   std::unordered_multimap<PointId, std::uint64_t> shadow_;
 
   /// Recounts nodes and points, and re-verifies the structural invariant
-  /// (children sorted, path keys strictly increasing, keys < num_dims_)
-  /// against the num_nodes_/num_points_ accounting.
+  /// (children sorted, path keys strictly increasing, keys < num_dims_,
+  /// every member's packed row equal to its id's row) against the
+  /// num_nodes_/num_points_ accounting.
   void ValidateAccounting() const;
 #endif
 };

@@ -237,14 +237,17 @@ TEST(KernelDifferentialTest, DominatingSubspaceExBatchMatchesPairKernel) {
 
 // The DominanceTester counter contract (src/core/dominance.h): one test
 // per pivot actually scanned — a batched DominatesAny call must charge
-// exactly what the equivalent sequence of single-pair calls charges.
+// exactly what the equivalent sequence of the tester's single-pair calls
+// charges.
 TEST(KernelDifferentialTest, DominanceTesterBatchedChargeEqualsScalarCharge) {
   std::mt19937_64 rng(31337);
   const Dim d = 8;
   const std::size_t n = 96;
   const Dataset data = TieHeavyDataset(n, d, 7000);
-  DominanceTester batched(data);
+  AlignedDataset aligned(data);
+  ASSERT_TRUE(aligned.EnsureQuantized());
   DominanceTester pairwise(data);
+  std::uint64_t batched_tests = 0;
   for (int trial = 0; trial < 300; ++trial) {
     std::vector<PointId> candidates(rng() % 16);
     for (PointId& c : candidates) c = static_cast<PointId>(rng() % n);
@@ -257,12 +260,15 @@ TEST(KernelDifferentialTest, DominanceTesterBatchedChargeEqualsScalarCharge) {
         break;
       }
     }
-    const bool batched_dominated = batched.DominatesAny(candidates, q);
+    const kernels::BatchProbeResult batched =
+        kernels::DominatesAny(aligned, candidates, aligned.row(q), d);
+    batched_tests += batched.scanned;
 
-    EXPECT_EQ(batched_dominated, scalar_dominated) << "trial=" << trial;
-    EXPECT_EQ(batched.tests(), pairwise.tests()) << "trial=" << trial;
+    EXPECT_EQ(batched.first != kernels::kNoDominator, scalar_dominated)
+        << "trial=" << trial;
+    EXPECT_EQ(batched_tests, pairwise.tests()) << "trial=" << trial;
   }
-  EXPECT_GT(batched.tests(), 0u);
+  EXPECT_GT(batched_tests, 0u);
 }
 
 TEST(KernelDifferentialTest, SingleDimensionAndMaxDimensionEdges) {
@@ -445,13 +451,12 @@ TEST(KernelDifferentialTest, EveryBackendMatchesScalarWithPoisonedPadding) {
   }
 }
 
-TEST(KernelDifferentialTest, BackendsAgreeOnBucketBoundaryValues) {
-  // Rows drawn from the exact bucket-edge lattice of the quantization
-  // grid: with per-dimension range [0, 255] the grid maps v to bucket
-  // floor(v), so values k, k - eps, k + eps straddle bucket borders —
-  // the spots where an unsound rounding rule would let the prefilter
-  // reject a true dominator.
-  const Dim d = 6;
+/// Rows drawn from the exact bucket-edge lattice of the quantization
+/// grid: with per-dimension range [0, 255] the grid maps v to bucket
+/// floor(v), so values k, k - eps, k + eps straddle bucket borders —
+/// the spots where an unsound rounding rule would let the prefilter
+/// reject a true dominator.
+Dataset BucketBoundaryDataset(Dim d) {
   std::mt19937_64 rng(0xb0a7);
   Dataset data(d);
   std::vector<Value> row(d);
@@ -468,6 +473,12 @@ TEST(KernelDifferentialTest, BackendsAgreeOnBucketBoundaryValues) {
     }
     data.Append(row);
   }
+  return data;
+}
+
+TEST(KernelDifferentialTest, BackendsAgreeOnBucketBoundaryValues) {
+  const Dim d = 6;
+  const Dataset data = BucketBoundaryDataset(d);
   AlignedDataset aligned(data);
   ASSERT_TRUE(aligned.EnsureQuantized());
   for (cpu::IsaLevel level : cpu::kAllLevels) {
@@ -476,6 +487,105 @@ TEST(KernelDifferentialTest, BackendsAgreeOnBucketBoundaryValues) {
     CheckBackendAgainstScalar(*ops, cpu::IsaName(level), /*prefilter=*/true,
                               data, aligned, d, 0xfeed);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The packed-block kernel (dominates_any_packed) against the id-list
+// reference: a block of 0..17 members, each with its packed row copied
+// out of the plane into an exactly sized buffer (as a SubsetIndex node
+// holds them, so a read past the block or past a row is visible to
+// ASan), must give the scalar early-exit loop's `first` and `scanned`
+// on every backend, with the probe's packed row (prefilter on) and
+// without it (exact compares only).
+// ---------------------------------------------------------------------------
+
+/// Checks every backend's packed kernel over blocks of every length in
+/// 0..17 drawn from `data`. With `with_plane` the prefilter runs both on
+/// and off; without, only the exact walk is possible.
+void CheckPackedBlocksAgainstScalar(const Dataset& data,
+                                    const AlignedDataset& aligned, Dim d,
+                                    bool with_plane, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const std::size_t n = data.num_points();
+  const std::size_t qstride = aligned.qstride();
+  for (int trial = 0; trial < 90; ++trial) {
+    const std::size_t len = static_cast<std::size_t>(trial) % 18;
+    const PointId q = static_cast<PointId>(rng() % n);
+    std::vector<PointId> ids(len);
+    for (PointId& id : ids) id = static_cast<PointId>(rng() % n);
+    // A member equal to the probe: never a dominator, never rejected.
+    if (len > 0 && trial % 3 == 0) ids[rng() % len] = q;
+
+    std::vector<std::uint8_t> qrows;
+    std::vector<std::uint8_t> q_packed;
+    if (with_plane) {
+      for (PointId id : ids) {
+        const std::uint8_t* row = aligned.qrow_unchecked(id);
+        qrows.insert(qrows.end(), row, row + qstride);
+      }
+      const std::uint8_t* row = aligned.qrow_unchecked(q);
+      q_packed.assign(row, row + qstride);
+    }
+    std::size_t want_first;
+    std::uint64_t want_scanned;
+    ScalarDominatesAny(data, ids, q, d, &want_first, &want_scanned);
+    for (cpu::IsaLevel level : cpu::kAllLevels) {
+      const kernels::simd::KernelOps* ops = cpu::OpsFor(level);
+      if (ops == nullptr) continue;
+      for (bool prefilter : {false, true}) {
+        if (prefilter && !with_plane) continue;
+        const kernels::BatchProbeResult r = ops->dominates_any_packed(
+            aligned, ids, qrows.data(), aligned.row(q),
+            prefilter ? q_packed.data() : nullptr, d);
+        EXPECT_EQ(r.first, want_first)
+            << cpu::IsaName(level) << " prefilter=" << prefilter
+            << " d=" << d << " len=" << len << " trial=" << trial;
+        EXPECT_EQ(r.scanned, want_scanned)
+            << cpu::IsaName(level) << " prefilter=" << prefilter
+            << " d=" << d << " len=" << len << " trial=" << trial;
+      }
+    }
+  }
+}
+
+TEST(KernelDifferentialTest, PackedBlockMatchesScalarOnEveryBackendAndWidth) {
+  // Every packed width (qstride 8..64) and, at d <= 8, every count of
+  // used bytes in the 8-byte row.
+  for (Dim d : {Dim{1}, Dim{2}, Dim{3}, Dim{4}, Dim{5}, Dim{6}, Dim{7},
+                Dim{8}, Dim{9}, Dim{15}, Dim{16}, Dim{17}, Dim{24},
+                Dim{64}}) {
+    const Dataset data = TieHeavyDataset(80, d, 16000 + d);
+    AlignedDataset aligned(data);
+    aligned.FillPaddingForTesting(std::numeric_limits<Value>::quiet_NaN());
+    ASSERT_TRUE(aligned.EnsureQuantized());
+    EXPECT_EQ(aligned.qstride(), (static_cast<std::size_t>(d) + 7) / 8 * 8);
+    CheckPackedBlocksAgainstScalar(data, aligned, d, /*with_plane=*/true,
+                                   17000 + d);
+  }
+}
+
+TEST(KernelDifferentialTest, PackedBlockAgreesOnBucketBoundaryValues) {
+  for (Dim d : {Dim{6}, Dim{8}, Dim{12}}) {
+    const Dataset data = BucketBoundaryDataset(d);
+    AlignedDataset aligned(data);
+    ASSERT_TRUE(aligned.EnsureQuantized());
+    CheckPackedBlocksAgainstScalar(data, aligned, d, /*with_plane=*/true,
+                                   0xbeef + d);
+  }
+}
+
+TEST(KernelDifferentialTest, PackedBlockWithoutPlaneRunsExactCompares) {
+  // A NaN anywhere leaves the dataset without a plane: the node walk
+  // then hands the kernel no packed rows and it must still agree.
+  const Dim d = 8;
+  Dataset data = TieHeavyDataset(40, d, 18000);
+  std::vector<Value> row(d, 0.5);
+  row[3] = std::numeric_limits<Value>::quiet_NaN();
+  data.Append(row);
+  AlignedDataset aligned(data);
+  ASSERT_FALSE(aligned.EnsureQuantized());
+  CheckPackedBlocksAgainstScalar(data, aligned, d, /*with_plane=*/false,
+                                 18001);
 }
 
 TEST(KernelDifferentialTest, QuantizeRowIsMonotoneAndExactOnMembers) {
@@ -487,11 +597,11 @@ TEST(KernelDifferentialTest, QuantizeRowIsMonotoneAndExactOnMembers) {
   // Member rows quantize to exactly their stored quantized line — the
   // probe-side QuantizeRow and the build-side bucketing must be the
   // same function, or a row could prefilter-reject itself.
-  alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kQuantStride];
+  alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kMaxQuantDims];
   for (std::size_t i = 0; i < aligned.num_rows(); ++i) {
     ASSERT_TRUE(aligned.QuantizeRow(aligned.row(i), qbuf));
     const std::uint8_t* stored = aligned.qrow_unchecked(i);
-    for (std::size_t b = 0; b < AlignedDataset::kQuantStride; ++b) {
+    for (std::size_t b = 0; b < aligned.qstride(); ++b) {
       ASSERT_EQ(qbuf[b], stored[b]) << "row=" << i << " byte=" << b;
     }
   }
@@ -500,8 +610,8 @@ TEST(KernelDifferentialTest, QuantizeRowIsMonotoneAndExactOnMembers) {
   // including values far outside the build range (they clamp).
   std::mt19937_64 rng(0xc0de);
   std::vector<Value> a(d), b(d);
-  alignas(kRowAlignment) std::uint8_t qa[AlignedDataset::kQuantStride];
-  alignas(kRowAlignment) std::uint8_t qb[AlignedDataset::kQuantStride];
+  alignas(kRowAlignment) std::uint8_t qa[AlignedDataset::kMaxQuantDims];
+  alignas(kRowAlignment) std::uint8_t qb[AlignedDataset::kMaxQuantDims];
   for (int trial = 0; trial < 500; ++trial) {
     for (Dim k = 0; k < d; ++k) {
       const double lo = -1.0 + 3.0 * (static_cast<double>(rng() % 10000) /
@@ -537,7 +647,7 @@ TEST(KernelDifferentialTest, NonFiniteProbeSkipsPrefilterButStaysExact) {
   for (Value bad : kBad) {
     std::vector<Value> probe(data.row(7), data.row(7) + d);
     probe[d / 2] = bad;
-    alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kQuantStride];
+    alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kMaxQuantDims];
     EXPECT_FALSE(aligned.QuantizeRow(probe.data(), qbuf));
 
     // Scalar reference over the raw probe values.
@@ -601,11 +711,11 @@ TEST(KernelDifferentialTest, QuantizedPlaneIsLazyAndResetByAssign) {
   aligned.Assign(other);
   EXPECT_FALSE(aligned.has_quantized());
   EXPECT_TRUE(aligned.EnsureQuantized());
-  alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kQuantStride];
+  alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kMaxQuantDims];
   for (std::size_t i = 0; i < aligned.num_rows(); ++i) {
     ASSERT_TRUE(aligned.QuantizeRow(aligned.row(i), qbuf));
     const std::uint8_t* stored = aligned.qrow_unchecked(i);
-    for (std::size_t b = 0; b < AlignedDataset::kQuantStride; ++b) {
+    for (std::size_t b = 0; b < aligned.qstride(); ++b) {
       ASSERT_EQ(qbuf[b], stored[b]) << "row=" << i << " byte=" << b;
     }
   }

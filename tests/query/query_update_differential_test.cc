@@ -1,4 +1,4 @@
-// The ISSUE 9 acceptance test: reader threads hammer Query/PeekExact
+// The mutation acceptance test: reader threads hammer Query/PeekExact
 // while a writer thread applies insert/remove bursts, and every answer
 // is checked against a recompute-from-scratch oracle AT THE EPOCH THE
 // ANSWER REPORTS. Runs under TSan and ASan via the sanitizer presets
@@ -19,6 +19,7 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/dataset.h"
@@ -134,8 +135,7 @@ TEST(QueryUpdateDifferentialTest, ConcurrentQueriesAndUpdatesMatchOracle) {
         if (rng % 5 == 0) {
           // Current-epoch-only probe: a hit must be exact at its epoch.
           std::vector<PointId> ids;
-          std::uint64_t delta = 99;
-          if (service.PeekExact(v, &ids, &epoch, &delta)) {
+          if (service.PeekExact(v, &ids, &epoch)) {
             observed[t].push_back({v, epoch, std::move(ids)});
           }
         } else {
@@ -187,9 +187,10 @@ TEST(QueryUpdateDifferentialTest, ConcurrentQueriesAndUpdatesMatchOracle) {
 }
 
 TEST(QueryUpdateDifferentialTest, ServeStaleBurstKeepsPeekAnswersSound) {
-  // kServeStale's backing contract: during an update burst, opting into
-  // stale Peek answers must still return an answer that is exact for
-  // the (older) epoch it is tagged with, never a torn or mixed one.
+  // kServeStale's backing read, PeekStale, during an update burst: an
+  // `exact` answer must equal the oracle at the epoch it is tagged
+  // with, and a core must be a subset of it — never a torn or mixed
+  // answer.
   const Dataset seed_data =
       Generate(DataType::kUniformIndependent, 400, kDims, 4321);
   QueryService service(seed_data);
@@ -201,18 +202,18 @@ TEST(QueryUpdateDifferentialTest, ServeStaleBurstKeepsPeekAnswersSound) {
   std::map<std::uint64_t, EpochSpec> specs;
   specs[0] = EpochSpec{seed_data.num_points(), {}};
 
-  std::vector<Observation> stale_hits;
+  std::vector<std::pair<Observation, bool>> stale_hits;  // answer, exact
   std::mutex hits_mu;
   std::thread reader([&] {
     std::uint64_t rng = 9;
     for (int q = 0; q < 400; ++q) {
       rng = Mix(rng + static_cast<std::uint64_t>(q));
       const Subspace v(1 + rng % ((1u << kDims) - 1));
-      std::vector<PointId> ids;
-      std::uint64_t epoch = 0, delta = 0;
-      if (service.PeekExact(v, &ids, &epoch, &delta)) {
+      StaleAnswer answer;
+      if (service.PeekStale(v, &answer)) {
         std::lock_guard<std::mutex> lock(hits_mu);
-        stale_hits.push_back({v, epoch, std::move(ids)});
+        stale_hits.push_back(
+            {{v, answer.epoch, std::move(answer.ids)}, answer.exact});
       }
     }
   });
@@ -234,11 +235,21 @@ TEST(QueryUpdateDifferentialTest, ServeStaleBurstKeepsPeekAnswersSound) {
   reader.join();
 
   const DatasetVersionPtr final_version = service.current_version();
-  for (const Observation& obs : stale_hits) {
+  for (const auto& [obs, exact] : stale_hits) {
     const auto it = specs.find(obs.epoch);
     ASSERT_NE(it, specs.end());
-    EXPECT_EQ(obs.ids, OracleAtEpoch(final_version->data, it->second, obs.v))
-        << "cuboid " << obs.v.ToString() << " at epoch " << obs.epoch;
+    const std::vector<PointId> want =
+        OracleAtEpoch(final_version->data, it->second, obs.v);
+    if (exact) {
+      EXPECT_EQ(obs.ids, want)
+          << "cuboid " << obs.v.ToString() << " at epoch " << obs.epoch;
+    } else {
+      // Both ascending: a core may miss only duplicate-projection ties.
+      EXPECT_TRUE(std::includes(want.begin(), want.end(), obs.ids.begin(),
+                                obs.ids.end()))
+          << "core of cuboid " << obs.v.ToString() << " at epoch "
+          << obs.epoch << " is not a subset of the oracle";
+    }
   }
   EXPECT_FALSE(stale_hits.empty());
 }

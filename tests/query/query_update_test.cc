@@ -1,7 +1,7 @@
 // Unit tests of QueryService::ApplyUpdate: epoch bumping, the
 // insert/remove repair rules, invalidation, the pinned full-space
-// seed's eager maintenance, the stale-entry opt-ins (PeekExact's
-// epoch_delta and PeekStale), and the
+// seed's eager maintenance, the stale-entry reads (PeekExact refuses
+// them, PeekStale serves them), and the
 // epoch edge cases of ISSUE 9 (update overtaking an in-flight compute,
 // removal of a pinned seed member, empty batches).
 #include <gtest/gtest.h>
@@ -277,22 +277,26 @@ TEST(QueryUpdateTest, PeekExactEpochOptInContract) {
   // Invalidate the entry by removing a member.
   service.ApplyUpdate({}, std::vector<PointId>{sky.front()});
 
-  // Default probe: a stale entry is never served silently.
+  // PeekExact never serves a stale entry.
   std::vector<PointId> ids;
-  EXPECT_FALSE(service.PeekExact(v, &ids));
+  std::uint64_t entry_epoch = 99;
+  EXPECT_FALSE(service.PeekExact(v, &ids, &entry_epoch));
+  EXPECT_EQ(entry_epoch, 99u);
 
-  // Opting in via epoch_delta returns it, tagged with its age.
-  std::uint64_t entry_epoch = 99, delta = 99;
-  ASSERT_TRUE(service.PeekExact(v, &ids, &entry_epoch, &delta));
-  EXPECT_EQ(ids, sky);
-  EXPECT_EQ(entry_epoch, 0u);
-  EXPECT_EQ(delta, 1u);
+  // The stale read is PeekStale's: the core of sky(v) over the stale
+  // entry — sky(v) itself, since no member dominates another — tagged
+  // with the entry's epoch and age.
+  StaleAnswer stale;
+  ASSERT_TRUE(service.PeekStale(v, &stale));
+  EXPECT_FALSE(stale.exact);
+  EXPECT_EQ(stale.ids, sky);
+  EXPECT_EQ(stale.epoch, 0u);
+  EXPECT_EQ(stale.epoch_delta, 1u);
 
-  // After a fresh compute the probe serves current with delta 0.
+  // After a fresh compute the probe serves the current entry.
   service.Query(v);
-  ASSERT_TRUE(service.PeekExact(v, &ids, &entry_epoch, &delta));
+  ASSERT_TRUE(service.PeekExact(v, &ids, &entry_epoch));
   EXPECT_EQ(entry_epoch, 1u);
-  EXPECT_EQ(delta, 0u);
   EXPECT_TRUE(service.PeekExact(v, nullptr));
 }
 

@@ -107,6 +107,30 @@ TEST(FuzzRegressionTest, SubsetIndexCorpusReclaim) {
   RunSubsetIndexFuzzInput(input.data(), input.size());
 }
 
+// fuzz/corpus/subset_index/seed-probe.bin: FindDominator after a
+// swap-with-back Remove and after a MergeFrom splice into a populated
+// node. Each probe's only dominator sits in a slot whose previous
+// occupant's packed row the prefilter would reject the probe with, so a
+// row left behind by its id shows up as a missed dominator.
+TEST(FuzzRegressionTest, SubsetIndexCorpusProbe) {
+  const std::vector<std::uint8_t> input = {
+      7,                 // nd = 8
+      0, 2, 0b11, 0,     // Add id=2 mask={0,1}
+      0, 3, 0b11, 0,     // Add id=3 mask={0,1}
+      0, 1, 0b11, 0,     // Add id=1 mask={0,1}: dominates row 240
+      4, 1, 0,           // Remove id=2: id=1 moves into its slot
+      9, 240, 0b11, 0,   // FindDominator(row 240, {0,1})
+      2, 62, 0b11, 0,    // staging Add id=62 mask={0,1}
+      2, 60, 0b11, 0,    // staging Add id=60 mask={0,1}: dominates row 34
+      7,                 // MergeFrom staging into the populated node
+      9, 34, 0b11, 0,    // FindDominator(row 34, {0,1})
+      4, 1, 0,           // Remove id=3: id=60 moves into its slot
+      9, 34, 0b11, 0,    // FindDominator(row 34, {0,1})
+      9, 240, 0, 0,      // FindDominator(row 240, {}): every member
+  };
+  RunSubsetIndexFuzzInput(input.data(), input.size());
+}
+
 // fuzz/corpus/csv/seed-nonfinite.bin: a nan field must be rejected, not
 // parsed into the dataset (from_chars accepts "nan" as a double).
 TEST(FuzzRegressionTest, CsvCorpusNonFinite) {

@@ -4,10 +4,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <set>
 #include <utility>
 #include <vector>
+
+#include "src/core/aligned_dataset.h"
+#include "src/core/dataset.h"
+#include "src/core/kernels.h"
+#include "src/core/stats.h"
 
 namespace skyline {
 namespace {
@@ -248,6 +254,91 @@ TEST_P(SubsetIndexPropertyTest, AgreesWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SubsetIndexPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
+
+// Property test of the in-place probe. On an index bound to a dataset,
+// with Add, AddAlwaysCandidate, swap-with-back Remove and MergeFrom
+// interleaved, every FindDominator must report exactly what Query
+// followed by the id-list kernel reports on the same index: the same
+// `first` and `scanned`, and the same candidate and node counts. A
+// packed row that drifted away from its id would let the prefilter
+// reject a true dominator and show up here. Odd seeds put a NaN into
+// one row, so the dataset has no plane and the walk runs exact
+// compares only.
+class SubsetIndexProbePropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SubsetIndexProbePropertyTest, ProbeEqualsQueryThenIdListKernel) {
+  std::mt19937_64 rng(GetParam());
+  const Dim d = 1 + static_cast<Dim>(rng() % 12);  // packed widths 8, 16
+  const std::size_t n = 160;
+  // Coarse values: many ties and many dominating pairs.
+  std::vector<Value> values(n * d);
+  for (Value& v : values) v = static_cast<Value>(rng() % 3);
+  const bool finite = GetParam() % 2 == 0;
+  if (!finite) {
+    values[rng() % values.size()] = std::numeric_limits<Value>::quiet_NaN();
+  }
+  const Dataset data(d, std::move(values));
+  AlignedDataset rows(data);
+  ASSERT_EQ(rows.EnsureQuantized(), finite);
+
+  const std::uint64_t space = Subspace::Full(d).bits();
+  auto stored_mask = [&] {
+    const Subspace mask(rng() & space);
+    return mask.empty() ? Subspace::Full(d) : mask;
+  };
+  SubsetIndex index(d, &rows);
+  SubsetIndex staging(d, &rows);
+  std::vector<std::pair<PointId, Subspace>> stored;
+  std::vector<std::pair<PointId, Subspace>> staged;
+  int probes = 0;
+  for (int step = 0; step < 1200; ++step) {
+    const unsigned op = static_cast<unsigned>(rng() % 10);
+    const PointId id = static_cast<PointId>(rng() % n);
+    if (op < 3) {
+      const Subspace mask = stored_mask();
+      index.Add(id, mask);
+      stored.emplace_back(id, mask);
+    } else if (op == 3) {
+      index.AddAlwaysCandidate(id);
+      stored.emplace_back(id, Subspace::Full(d));
+    } else if (op == 4) {
+      const Subspace mask = stored_mask();
+      staging.Add(id, mask);
+      staged.emplace_back(id, mask);
+    } else if (op == 5 && !stored.empty()) {
+      const std::size_t pick = rng() % stored.size();
+      ASSERT_TRUE(index.Remove(stored[pick].first, stored[pick].second));
+      stored.erase(stored.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else if (op == 6) {
+      index.MergeFrom(std::move(staging));
+      stored.insert(stored.end(), staged.begin(), staged.end());
+      staged.clear();
+      staging = SubsetIndex(d, &rows);
+    } else {
+      const Subspace mask(rng() & space);
+      std::vector<PointId> candidates;
+      std::uint64_t nodes = 0;
+      index.Query(mask, &candidates, &nodes);
+      const kernels::BatchProbeResult want =
+          kernels::DominatesAny(rows, candidates, rows.row(id), d);
+      SkylineStats stats;
+      const kernels::BatchProbeResult got =
+          index.FindDominator(mask, id, &stats);
+      ASSERT_EQ(got.first, want.first) << "step=" << step << " d=" << d;
+      ASSERT_EQ(got.scanned, want.scanned) << "step=" << step << " d=" << d;
+      ASSERT_EQ(stats.dominance_tests, want.scanned) << "step=" << step;
+      ASSERT_EQ(stats.index_queries, 1u);
+      ASSERT_EQ(stats.index_candidates, candidates.size()) << "step=" << step;
+      ASSERT_EQ(stats.index_nodes_visited, nodes) << "step=" << step;
+      ++probes;
+    }
+  }
+  EXPECT_GT(probes, 0);
+  EXPECT_EQ(index.num_points(), stored.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SubsetIndexProbePropertyTest,
+                         ::testing::Range(1, 13));
 
 TEST(SubsetIndexTest, QueryContainedReturnsSubsetSubspacesOnly) {
   SubsetIndex index(4);
