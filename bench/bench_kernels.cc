@@ -168,6 +168,19 @@ void BenchScenario(DataType type, std::size_t n, Dim d,
   });
   const std::vector<PointId> block(by_sum.begin(),
                                    by_sum.begin() + block_size);
+  // The block's packed rows beside its ids, as a SubsetIndex node holds
+  // them, gathered once outside every timed loop. A probe's packed row
+  // is its own row of the plane; without the prefilter the probe kernel
+  // gets none and runs exact compares.
+  std::vector<std::uint8_t> block_qrows;
+  for (PointId s : block) {
+    const std::uint8_t* row = aligned.qrow_unchecked(s);
+    block_qrows.insert(block_qrows.end(), row, row + aligned.qstride());
+  }
+  const auto packed_probe = [&](std::size_t q, bool prefilter) {
+    return prefilter ? aligned.qrow_unchecked(q) : nullptr;
+  };
+  const bool dispatched_prefilter = cpu::PrefilterEnabled();
 
   TextTable table({"Kernel", "scans/point", "scalar ms", "kernel ms", "gain"});
 
@@ -261,7 +274,8 @@ void BenchScenario(DataType type, std::size_t n, Dim d,
     std::uint64_t scans = 0;
     for (std::size_t q = 0; q < n; ++q) {
       const auto r = kernels::DominatesAny(
-          aligned, block, aligned.row_unchecked(q), d);
+          aligned, block, block_qrows.data(), aligned.row_unchecked(q),
+          packed_probe(q, dispatched_prefilter), d);
       scans += r.scanned;
       checksum += r.first != kernels::kNoDominator ? 1 : 0;
     }
@@ -356,8 +370,9 @@ void BenchScenario(DataType type, std::size_t n, Dim d,
     std::uint64_t checksum = 0;
     std::uint64_t scans = 0;
     for (PointId q : probes) {
-      const auto r =
-          kernels::DominatesAny(aligned, block, aligned.row_unchecked(q), d);
+      const auto r = kernels::DominatesAny(
+          aligned, block, block_qrows.data(), aligned.row_unchecked(q),
+          packed_probe(q, dispatched_prefilter), d);
       scans += r.scanned;
       checksum += r.first != kernels::kNoDominator ? 1 : 0;
     }
@@ -415,7 +430,8 @@ void BenchScenario(DataType type, std::size_t n, Dim d,
       std::uint64_t scans = 0;
       for (PointId q : probes) {
         const auto r = ops.dominates_any(
-            aligned, block, aligned.row_unchecked(q), d, prefilter);
+            aligned, block, block_qrows.data(), aligned.row_unchecked(q),
+            packed_probe(q, prefilter), d);
         scans += r.scanned;
         checksum += r.first != kernels::kNoDominator ? 1 : 0;
       }

@@ -1,6 +1,6 @@
 // SubsetIndex vs. a flat linear-scan oracle. The harness replays a
 // random op sequence (Add / AddAlwaysCandidate / Remove / Query /
-// QueryContained / MergeFrom / Compact / FindDominator) against both
+// QueryContained / MergeFrom / FindDominator) against both
 // the prefix tree and a plain vector of (id, subspace) pairs, comparing
 // every query result as a multiset and, after every op, the num_points
 // accounting plus the num_nodes count against the distinct live
@@ -8,7 +8,7 @@
 // not leak dead tree structure). The indexes are bound to a fixed
 // 256-row dataset (every U8 id names a row), so each member carries its
 // packed prefilter row; the FindDominator op checks the in-place probe
-// against Query followed by the id-list kernel, which catches a row
+// against Query followed by a scalar id-list loop, which catches a row
 // that drifted away from its id after a swap-with-back Remove or a
 // MergeFrom splice.
 #ifndef SKYLINE_FUZZ_HARNESS_SUBSET_INDEX_H_
@@ -23,6 +23,7 @@
 #include "fuzz/fuzz_util.h"
 #include "src/core/aligned_dataset.h"
 #include "src/core/dataset.h"
+#include "src/core/dominance.h"
 #include "src/core/kernels.h"
 #include "src/core/stats.h"
 #include "src/core/subspace.h"
@@ -171,24 +172,35 @@ inline void RunSubsetIndexFuzzInput(const std::uint8_t* data,
         staging = SubsetIndex(nd, &rows);
         break;
       }
-      case 8: {  // Compact: eager Remove reclamation leaves nothing to prune
-        FUZZ_CHECK(index.Compact() == 0,
-                   "Compact found dead nodes Remove should have reclaimed");
+      case 8: {  // The empty probe returns every stored id (reads no byte)
+        std::vector<PointId> got;
+        index.Query(Subspace{}, &got);
+        std::vector<PointId> want;
+        for (const Entry& e : ref) want.push_back(e.first);
+        index_oracle::CheckQuery(std::move(got), std::move(want),
+                                 "empty-subspace Query != every stored id");
         break;
       }
-      case 9: {  // FindDominator == Query + the id-list kernel
+      case 9: {  // FindDominator == Query + a scalar id-list loop
         const PointId q = in.U8();
         const Subspace probe(in.U16() & full);
         std::vector<PointId> candidates;
         std::uint64_t nodes = 0;
         index.Query(probe, &candidates, &nodes);
-        const kernels::BatchProbeResult want =
-            kernels::DominatesAny(rows, candidates, rows.row(q), nd);
+        kernels::BatchProbeResult want;
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+          ++want.scanned;
+          if (Dominates(probe_rows.row(candidates[i]), probe_rows.row(q),
+                        nd)) {
+            want.first = i;
+            break;
+          }
+        }
         SkylineStats stats;
         const kernels::BatchProbeResult got =
             index.FindDominator(probe, q, &stats);
         FUZZ_CHECK(got.first == want.first && got.scanned == want.scanned,
-                   "FindDominator disagrees with Query + DominatesAny");
+                   "FindDominator disagrees with Query + a scalar scan");
         FUZZ_CHECK(stats.index_candidates == candidates.size() &&
                        stats.index_nodes_visited == nodes &&
                        stats.dominance_tests == want.scanned,

@@ -32,8 +32,8 @@
 // the source rows; nothing reallocates per row. The QUANTIZED plane is
 // built on demand by EnsureQuantized() — one dense O(n*d) min/max sweep
 // over the already-gathered exact plane plus the bucketing pass — so
-// consumers that only ever run pairwise compares (or whose scan windows
-// stay below the prefilter threshold) never pay for it. Assign() reuses
+// consumers that only ever run pairwise compares (or skycube window
+// seeds below cpu::kPrefilterMinBlock) never pay for it. Assign() reuses
 // existing capacity, so a long-lived instance (e.g. the per-thread
 // scratch of the query-service seeded path) stops allocating once it
 // has seen its high-water size; Reserve() pre-sizes that capacity
@@ -157,7 +157,9 @@ class AlignedDataset {
   /// summary row. Returns false — and the caller must then skip the
   /// prefilter — when the probe contains a non-finite value, for which
   /// bucket order would not imply value order. Requires
-  /// has_quantized().
+  /// has_quantized(). The probe callers never need it, since every
+  /// probe is a row of the plane; it is the bucketing reference the
+  /// kernel tests check the plane against.
   bool QuantizeRow(const Value* row, std::uint8_t* out) const;
 
   /// Overwrites every padding slot (columns num_dims..stride-1 of every

@@ -56,8 +56,11 @@ const kernels::simd::KernelOps* OpsFor(IsaLevel level);
 /// The dispatched table — what src/core/kernels.h routes through.
 const kernels::simd::KernelOps& ActiveOps();
 
-/// Whether DominatesAny consults the quantized summary plane (when the
-/// dataset carries one). Default on; SKYLINE_PREFILTER=0 disables.
+/// Whether the probe callers (SubsetIndex::FindDominator, the skycube
+/// window scan, step 2 of the parallel subset engine) hand
+/// DominatesAny packed rows, so it consults the quantized summary plane
+/// (when the dataset carries one). Default on; SKYLINE_PREFILTER=0
+/// disables.
 bool PrefilterEnabled();
 
 /// Runtime override of the prefilter default, for bench ablation and
@@ -65,8 +68,9 @@ bool PrefilterEnabled();
 /// only from single-threaded setup code.
 void SetPrefilterEnabledForTesting(bool enabled);
 
-/// Blocks smaller than this skip the prefilter: quantizing the probe
-/// row costs O(d), which only amortizes over enough pivots.
+/// Skycube window seeds of fewer candidates skip the quantized plane:
+/// building it costs O(n*d) over the gathered block, which only
+/// amortizes over enough probes.
 inline constexpr std::size_t kPrefilterMinBlock = 8;
 
 /// One-line summary for logs and bench metadata, e.g.

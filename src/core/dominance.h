@@ -100,12 +100,13 @@ inline Subspace DominatingSubspaceEx(const Value* q, const Value* p, Dim d,
 /// these so the mean-dominance-test metric of the paper's evaluation is
 /// counted uniformly. Counter contract: **one test per pivot actually
 /// scanned** — every call costs one O(d) row scan and charges exactly
-/// one. The batched kernels (kernels::DominatesAny and the subset
-/// index's node walk) follow the same contract: they charge one per
-/// pivot the equivalent scalar early-exit loop would have consumed, so
-/// DT tables stay comparable to the paper regardless of which path
-/// executed; the differential tests assert the batched and scalar
-/// charges agree.
+/// one. The batched kernels (kernels::DominatesAny, the one probe of
+/// the subset index's node walk, the skycube window scan and the
+/// parallel engine, and the mask folds) follow the same contract: they
+/// charge one per pivot the equivalent scalar early-exit loop would
+/// have consumed, so DT tables stay comparable to the paper regardless
+/// of which path executed; the differential tests assert the batched
+/// and scalar charges agree.
 ///
 /// Internally the tester owns a padded, 64-byte-aligned copy of the
 /// dataset rows (AlignedDataset) and runs the vectorized kernels over

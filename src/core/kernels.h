@@ -30,11 +30,8 @@
 // auto-vectorized loops otherwise. Every backend obeys the same
 // semantics contract, so callers see identical results and charges no
 // matter which ISA executed — only the wall clock changes. DominatesAny
-// additionally engages the quantized block prefilter (docs/kernels.md)
-// when the dataset carries a summary plane, the block is large enough
-// to amortize quantizing the probe, and SKYLINE_PREFILTER has not
-// disabled it; DominatesAnyPacked engages it whenever its caller hands
-// it the probe's packed row.
+// additionally consults the quantized block prefilter (docs/kernels.md)
+// whenever its caller hands it the probe's packed row.
 //
 // Kernels read exactly num_dims values per row: the padding tail of an
 // AlignedDataset row is never loaded (the differential tests poison it).
@@ -143,50 +140,30 @@ inline Subspace DominatingSubspaceEx(const Value* SKYLINE_RESTRICT q,
 // src/core/simd_dispatch.h (shared with the per-ISA backends) and are
 // re-exported here through the include above.
 
-/// Tests candidate row `q_row` against the block of rows named by `ids`
-/// in a single pass, in block order — the retrieval-loop shape of
+/// Tests probe row `q_row` against a block of stored points in a
+/// single pass, in block order — the retrieval-loop shape of
 /// SFS-Subset / SaLSa-Subset / SDI-Subset ("does any stored skyline
-/// point dominate q?"). Dispatches to the active ISA backend; consults
-/// the quantized prefilter when enabled and the block is large enough
-/// to amortize quantizing the probe row.
+/// point dominate q?"). The block is `ids` plus their packed quantized
+/// rows `qrows` (ids.size() * rows.qstride() bytes, row j belonging to
+/// ids[j]), kept side by side as a SubsetIndex node keeps them.
+/// `q_quant` is the probe's packed row; the kernel compares it against
+/// the block's packed rows and reads an exact row only for the members
+/// that compare cannot reject. A null `q_quant` runs exact compares
+/// over every member and leaves `qrows` unread. Dispatches to the
+/// active ISA backend.
 inline BatchProbeResult DominatesAny(const AlignedDataset& rows,
                                      std::span<const PointId> ids,
-                                     const Value* q_row, Dim d) {
+                                     const std::uint8_t* qrows,
+                                     const Value* q_row,
+                                     const std::uint8_t* q_quant, Dim d) {
   if constexpr (kSkylineAsserts) {
     for (PointId id : ids) {
       SKYLINE_ASSERT(id < rows.num_rows(), "DominatesAny: id out of range");
     }
   }
-  const bool prefilter = cpu::PrefilterEnabled() &&
-                         ids.size() >= cpu::kPrefilterMinBlock &&
-                         rows.has_quantized();
-  return cpu::ActiveOps().dominates_any(rows, ids, q_row, d, prefilter);
-}
-
-/// DominatesAny over a contiguous block of SubsetIndex members: `ids`
-/// plus their packed quantized rows `qrows` (ids.size() * rows.qstride()
-/// bytes, row j belonging to ids[j]). `q_quant` is the probe's packed
-/// row; the kernel compares it against the block's packed rows and
-/// reads an exact row only for the members that compare cannot reject.
-/// A null `q_quant` runs exact compares only and leaves `qrows` unread.
-/// Returns exactly what DominatesAny returns for the same ids in the
-/// same order. Dispatches to the active ISA backend.
-inline BatchProbeResult DominatesAnyPacked(const AlignedDataset& rows,
-                                           std::span<const PointId> ids,
-                                           const std::uint8_t* qrows,
-                                           const Value* q_row,
-                                           const std::uint8_t* q_quant,
-                                           Dim d) {
-  if constexpr (kSkylineAsserts) {
-    for (PointId id : ids) {
-      SKYLINE_ASSERT(id < rows.num_rows(),
-                     "DominatesAnyPacked: id out of range");
-    }
-  }
   SKYLINE_ASSERT(q_quant == nullptr || rows.has_quantized(),
-                 "DominatesAnyPacked: packed probe without a quantized plane");
-  return cpu::ActiveOps().dominates_any_packed(rows, ids, qrows, q_row,
-                                               q_quant, d);
+                 "DominatesAny: packed probe without a quantized plane");
+  return cpu::ActiveOps().dominates_any(rows, ids, qrows, q_row, q_quant, d);
 }
 
 /// Folds the dominating subspace of candidate `q_row` over the pivot

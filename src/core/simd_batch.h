@@ -49,90 +49,28 @@ namespace simd {
 template <class Isa>
 BatchProbeResult DominatesAny(const AlignedDataset& rows,
                               std::span<const PointId> ids,
-                              const Value* q_row, Dim d, bool prefilter) {
-  constexpr unsigned kGroup = Isa::kGroup;
-  BatchProbeResult r;
-  alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kMaxQuantDims];
-  // The prefilter engages lazily, after the first exact group fails:
-  // probes resolved within kGroup pivots (the common case on
-  // correlated data and for dominated-heavy streams) never pay for
-  // quantizing the probe row. Engagement timing is invisible in the
-  // results — a quantized reject is sound whenever it fires.
-  bool use_prefilter = false;
-  bool prefilter_pending = prefilter && rows.has_quantized();
-  // Group-size ramp: the first group tests a single pivot, so a probe
-  // the block's leading pivot resolves (the overwhelmingly common case
-  // on correlated inputs, where blocks are sorted strongest-first)
-  // pays for one row compare instead of kGroup.
-  unsigned target = 1;
-  const std::size_t n = ids.size();
-  std::size_t i = 0;
-  while (i < n) {
-    const Value* prow[kGroup];
-    std::size_t pidx[kGroup];
-    std::uint64_t charge[kGroup];
-    unsigned m = 0;
-    while (i < n && m < target) {
-      const PointId id = ids[i];
-      ++r.scanned;
-      // A prefilter reject is a proven non-dominator; it stays charged
-      // (the scalar reference loop would have scanned it) but needs no
-      // exact compare.
-      if (use_prefilter &&
-          Isa::QuantMayDominate(rows.qrow_unchecked(id), 1, qbuf,
-                                rows.qstride()) == 0) {
-        ++i;
-        continue;
-      }
-      prow[m] = rows.row_unchecked(id);
-      pidx[m] = i;
-      charge[m] = r.scanned;
-      ++m;
-      ++i;
-    }
-    if (m == 0) break;
-    const unsigned dom = Isa::Dominates(prow, m, q_row, d);
-    target = kGroup;
-    if (dom != 0) {
-      const unsigned j = static_cast<unsigned>(std::countr_zero(dom));
-      r.first = pidx[j];
-      // Roll the charge back to the scalar early-exit point: pivots
-      // collected after the first dominator were never scanned by the
-      // reference loop.
-      r.scanned = charge[j];
-      return r;
-    }
-    if (prefilter_pending) {
-      prefilter_pending = false;
-      use_prefilter = rows.QuantizeRow(q_row, qbuf);
-    }
-  }
-  return r;
-}
-
-template <class Isa>
-BatchProbeResult DominatesAnyPacked(const AlignedDataset& rows,
-                                    std::span<const PointId> ids,
-                                    const std::uint8_t* qrows,
-                                    const Value* q_row,
-                                    const std::uint8_t* q_quant, Dim d) {
-  if (q_quant == nullptr) {
-    return DominatesAny<Isa>(rows, ids, q_row, d, /*prefilter=*/false);
-  }
+                              const std::uint8_t* qrows, const Value* q_row,
+                              const std::uint8_t* q_quant, Dim d) {
   constexpr unsigned kGroup = Isa::kGroup;
   constexpr std::size_t kRowsPerMask = 64;
   const std::size_t qstride = rows.qstride();
   const std::size_t n = ids.size();
-  // DominatesAny's group-size ramp: the first exact compare of the
-  // block tests a single member.
+  // Group-size ramp: the first exact compare of the block tests a
+  // single member, so a probe the block's leading member resolves (the
+  // common case on correlated inputs, where blocks are sorted
+  // strongest-first) pays for one row compare instead of kGroup.
   unsigned target = 1;
   for (std::size_t base = 0; base < n; base += kRowsPerMask) {
     const unsigned m =
         static_cast<unsigned>(std::min(kRowsPerMask, n - base));
-    // Members whose packed row clears the probe's; the rest are proven
-    // non-dominators and cost no exact read.
+    // Members whose packed row clears the probe's, or every member
+    // without a packed probe row; the rest are proven non-dominators
+    // and cost no exact read.
     std::uint64_t live =
-        Isa::QuantMayDominate(qrows + base * qstride, m, q_quant, qstride);
+        q_quant != nullptr
+            ? Isa::QuantMayDominate(qrows + base * qstride, m, q_quant,
+                                    qstride)
+            : ~std::uint64_t{0} >> (kRowsPerMask - m);
     while (live != 0) {
       const Value* prow[kGroup];
       std::size_t pidx[kGroup];
@@ -221,7 +159,6 @@ void DominatingSubspaceExBatch(const AlignedDataset& rows,
 template <class Isa>
 inline constexpr KernelOps kBatchOps = {
     &DominatesAny<Isa>,
-    &DominatesAnyPacked<Isa>,
     &DominatingSubspaceBatch<Isa>,
     &DominatingSubspaceExBatch<Isa>,
 };

@@ -14,12 +14,11 @@
 //
 // Every backend implements the same semantics contract as the scalar
 // reference loops (see src/core/kernels.h): bit-identical booleans,
-// Subspace bits, early-exit points, and `scanned` charges. The
-// `prefilter` flag of `dominates_any` and the probe's packed row of
-// `dominates_any_packed` additionally let the backend consult the
-// quantized summary plane of the AlignedDataset (see docs/kernels.md):
-// a quantized reject is sound by construction, so results and charges
-// are identical with the prefilter on or off.
+// Subspace bits, early-exit points, and `scanned` charges. The probe's
+// packed row, when `dominates_any` is handed one, additionally lets the
+// backend compare it against the members' packed quantized rows (see
+// docs/kernels.md): a quantized reject is sound by construction, so
+// results and charges are identical with the prefilter on or off.
 #ifndef SKYLINE_CORE_SIMD_DISPATCH_H_
 #define SKYLINE_CORE_SIMD_DISPATCH_H_
 
@@ -72,12 +71,9 @@ namespace simd {
 struct KernelOps {
   BatchProbeResult (*dominates_any)(const AlignedDataset& rows,
                                     std::span<const PointId> ids,
-                                    const Value* q_row, Dim d, bool prefilter);
-  BatchProbeResult (*dominates_any_packed)(const AlignedDataset& rows,
-                                           std::span<const PointId> ids,
-                                           const std::uint8_t* qrows,
-                                           const Value* q_row,
-                                           const std::uint8_t* q_quant, Dim d);
+                                    const std::uint8_t* qrows,
+                                    const Value* q_row,
+                                    const std::uint8_t* q_quant, Dim d);
   BatchSubspaceResult (*dominating_subspace_batch)(const AlignedDataset& rows,
                                                    std::span<const PointId> ids,
                                                    const Value* q_row, Dim d);

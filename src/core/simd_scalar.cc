@@ -38,21 +38,19 @@ bool QuantWorseSomewhere(const std::uint8_t* SKYLINE_RESTRICT s,
   return worse != 0;
 }
 
-/// The early-exit probe loop both probe kernels share. `packed_row(i)`
-/// is member i's packed row; with a null `q_quant` it is never called.
-template <class PackedRow>
-BatchProbeResult FirstDominator(const AlignedDataset& rows,
-                                std::span<const PointId> ids,
-                                const Value* q_row, Dim d,
-                                const std::uint8_t* q_quant,
-                                PackedRow packed_row) {
+BatchProbeResult DominatesAnyScalar(const AlignedDataset& rows,
+                                    std::span<const PointId> ids,
+                                    const std::uint8_t* qrows,
+                                    const Value* q_row,
+                                    const std::uint8_t* q_quant, Dim d) {
+  const std::size_t qstride = rows.qstride();
   BatchProbeResult r;
   for (std::size_t i = 0; i < ids.size(); ++i) {
     ++r.scanned;
     // A prefilter reject still charges: the scalar reference loop
-    // would have scanned this pivot (and found it non-dominating).
+    // would have scanned this member (and found it non-dominating).
     if (q_quant != nullptr &&
-        QuantWorseSomewhere(packed_row(i), q_quant, rows.qstride())) {
+        QuantWorseSomewhere(qrows + i * qstride, q_quant, qstride)) {
       continue;
     }
     if (Dominates(rows.row_unchecked(ids[i]), q_row, d)) {
@@ -61,27 +59,6 @@ BatchProbeResult FirstDominator(const AlignedDataset& rows,
     }
   }
   return r;
-}
-
-BatchProbeResult DominatesAnyScalar(const AlignedDataset& rows,
-                                    std::span<const PointId> ids,
-                                    const Value* q_row, Dim d, bool prefilter) {
-  alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kMaxQuantDims];
-  const bool use_prefilter =
-      prefilter && rows.has_quantized() && rows.QuantizeRow(q_row, qbuf);
-  return FirstDominator(
-      rows, ids, q_row, d, use_prefilter ? qbuf : nullptr,
-      [&](std::size_t i) { return rows.qrow_unchecked(ids[i]); });
-}
-
-BatchProbeResult DominatesAnyPackedScalar(const AlignedDataset& rows,
-                                          std::span<const PointId> ids,
-                                          const std::uint8_t* qrows,
-                                          const Value* q_row,
-                                          const std::uint8_t* q_quant, Dim d) {
-  return FirstDominator(rows, ids, q_row, d, q_quant, [&](std::size_t i) {
-    return qrows + i * rows.qstride();
-  });
 }
 
 BatchSubspaceResult DominatingSubspaceBatchScalar(const AlignedDataset& rows,
@@ -119,7 +96,6 @@ void DominatingSubspaceExBatchScalar(const AlignedDataset& rows,
 
 const KernelOps kScalarOps = {
     &DominatesAnyScalar,
-    &DominatesAnyPackedScalar,
     &DominatingSubspaceBatchScalar,
     &DominatingSubspaceExBatchScalar,
 };

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 #include "src/core/aligned_dataset.h"
 #include "src/core/contracts.h"
+#include "src/core/cpu.h"
 #include "src/core/dominance.h"
 #include "src/core/kernels.h"
 #include "src/parallel/work_partitioner.h"
@@ -73,6 +75,10 @@ std::vector<PointId> ParallelSubsetSfs::Compute(const Dataset& data,
   // O(block²) times per block.
   std::vector<std::uint64_t> survivor_bits;
   std::vector<PointId> survivor_rows;
+  // Width of the packed rows step 2 hands the kernel (0: exact compares
+  // only, without a plane or with the prefilter off).
+  const std::size_t qstride =
+      rows.has_quantized() && cpu::PrefilterEnabled() ? rows.qstride() : 0;
 
   for (std::size_t begin = 0; begin < m; begin += block) {
     const std::size_t size = std::min(block, m - begin);
@@ -111,6 +117,7 @@ std::vector<PointId> ParallelSubsetSfs::Compute(const Dataset& data,
       const std::size_t last =
           std::min(survivors.size(), (unit + 1) * kPointsPerUnit);
       std::vector<PointId> candidates(last);
+      std::vector<std::uint8_t> packed(last * qstride);
       for (std::size_t j = unit * kPointsPerUnit; j < last; ++j) {
         // Branch-free gather: every earlier survivor is written, and the
         // cursor advances past the ones whose mask covers `need`.
@@ -120,9 +127,24 @@ std::vector<PointId> ParallelSubsetSfs::Compute(const Dataset& data,
           candidates[found] = survivor_rows[e];
           found += (survivor_bits[e] & need) == need ? 1 : 0;
         }
+        // The candidates' packed rows, in candidate order, beside them,
+        // copied in whole 8-byte words (qstride is a multiple of 8) so
+        // each copy is a plain move rather than a library call.
+        const PointId q = survivor_rows[j];
+        const std::uint8_t* q_quant = nullptr;
+        if (qstride != 0) {
+          for (std::size_t c = 0; c < found; ++c) {
+            const std::uint8_t* src = rows.qrow_unchecked(candidates[c]);
+            std::uint8_t* dst = packed.data() + c * qstride;
+            for (std::size_t w = 0; w < qstride; w += 8) {
+              std::memcpy(dst + w, src + w, 8);
+            }
+          }
+          q_quant = rows.qrow_unchecked(q);
+        }
         const kernels::BatchProbeResult probe = kernels::DominatesAny(
             rows, std::span<const PointId>(candidates.data(), found),
-            rows.row(survivor_rows[j]), d);
+            packed.data(), rows.row(q), q_quant, d);
         s.dominance_tests += probe.scanned;
         dominated[survivors[j]] = probe.first != kernels::kNoDominator;
       }

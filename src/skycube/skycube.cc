@@ -15,18 +15,29 @@ namespace skyline {
 
 namespace {
 
-/// Per-thread scratch block of SubspaceSkylineOverCandidates; function-
-/// scoped so WarmSubspaceScratch can pre-size it for a whole session of
-/// seeded queries.
-AlignedDataset& SubspaceScratchBlock() {
-  thread_local AlignedDataset block;
-  return block;
+/// Per-thread scratch of SubspaceSkylineOverCandidates: the gathered
+/// block, the window's members (block rows) and their packed rows, in
+/// window order. Function-scoped so WarmSubspaceScratch can pre-size it
+/// for a whole session of seeded queries.
+struct WindowScratch {
+  AlignedDataset block;
+  std::vector<PointId> window;
+  std::vector<std::uint8_t> packed;
+};
+
+WindowScratch& SubspaceScratch() {
+  thread_local WindowScratch scratch;
+  return scratch;
 }
 
 }  // namespace
 
 void WarmSubspaceScratch(std::size_t rows, Dim dims) {
-  SubspaceScratchBlock().Reserve(rows, dims);
+  WindowScratch& scratch = SubspaceScratch();
+  scratch.block.Reserve(rows, dims);
+  scratch.window.reserve(rows);
+  // Any packed row fits in kMaxQuantDims bytes.
+  scratch.packed.reserve(rows * AlignedDataset::kMaxQuantDims);
 }
 
 bool DominatesInSubspace(const Value* a, const Value* b, Subspace subspace) {
@@ -70,50 +81,63 @@ std::vector<PointId> SubspaceSkylineOverCandidates(
   // the seeded query path calls this once per query, and a warmed
   // thread reuses the block's capacity instead of reallocating
   // (AlignedDataset::Assign + WarmSubspaceScratch).
-  AlignedDataset& block = SubspaceScratchBlock();
-  thread_local std::vector<PointId> window;
+  WindowScratch& scratch = SubspaceScratch();
+  AlignedDataset& block = scratch.block;
+  std::vector<PointId>& window = scratch.window;
+  std::vector<std::uint8_t>& packed = scratch.packed;
   block.AssignProjected(data, subspace, candidates);
   const Dim d = block.num_dims();
+  // The window keeps each member's packed row beside its id, as a
+  // SubsetIndex node does, so a probe compares packed rows in place.
+  // The plane is built up front, and only for seeds large enough to
+  // amortize it; without it the probes run exact compares.
+  const bool use_plane = cpu::PrefilterEnabled() &&
+                         candidates.size() >= cpu::kPrefilterMinBlock &&
+                         block.EnsureQuantized();
+  const std::size_t qstride = use_plane ? block.qstride() : 0;
   window.clear();
+  packed.clear();
   std::uint64_t local_tests = 0;
   for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
     const Value* q = block.row_unchecked(ci);
-    // Lazy prefilter plane: built the first time the window is big
-    // enough for the kernels to consult it (a flag test afterwards),
-    // so small-window subspaces skip the build entirely.
-    if (window.size() >= cpu::kPrefilterMinBlock) block.EnsureQuantized();
+    const std::uint8_t* q_quant =
+        use_plane ? block.qrow_unchecked(ci) : nullptr;
     // One charged test per window entry up to and including the first
     // dominator — identical to the scalar window scan.
     const kernels::BatchProbeResult probe =
-        kernels::DominatesAny(block, window, q, d);
+        kernels::DominatesAny(block, window, packed.data(), q, q_quant, d);
     local_tests += probe.scanned;
-    std::size_t keep = 0;
-    if (probe.first != kernels::kNoDominator) {
-      // Dominated: replay the (uncharged) reverse evictions the scalar
-      // scan applied to the entries it inspected before the dominator;
-      // everything from the dominator onward stays.
-      for (std::size_t i = 0; i < probe.first; ++i) {
-        const PointId w = window[i];
-        if (!kernels::Dominates(q, block.row_unchecked(w), d)) {
-          window[keep++] = w;
+    // Drops the members before `end` that the candidate dominates
+    // (uncharged, like the scalar scan); a packed row moves with its id.
+    const auto evict_dominated = [&](std::size_t end) {
+      std::size_t keep = 0;
+      for (std::size_t i = 0; i < window.size(); ++i) {
+        if (i < end &&
+            kernels::Dominates(q, block.row_unchecked(window[i]), d)) {
+          continue;
         }
-      }
-      for (std::size_t i = probe.first; i < window.size(); ++i) {
-        window[keep++] = window[i];
+        if (keep != i) {
+          window[keep] = window[i];
+          std::copy_n(packed.begin() + i * qstride, qstride,
+                      packed.begin() + keep * qstride);
+        }
+        ++keep;
       }
       window.resize(keep);
+      packed.resize(keep * qstride);
+    };
+    if (probe.first != kernels::kNoDominator) {
+      // Dominated: replay the evictions the scalar scan applied to the
+      // entries it inspected before the dominator; everything from the
+      // dominator onward stays.
+      evict_dominated(probe.first);
       continue;
     }
-    // Survivor: evict every window entry the candidate dominates
-    // (uncharged, like the scalar scan), then append it.
-    for (std::size_t i = 0; i < window.size(); ++i) {
-      const PointId w = window[i];
-      if (!kernels::Dominates(q, block.row_unchecked(w), d)) {
-        window[keep++] = w;
-      }
-    }
-    window.resize(keep);
+    // Survivor: evict every window entry the candidate dominates, then
+    // append it.
+    evict_dominated(window.size());
     window.push_back(static_cast<PointId>(ci));
+    packed.insert(packed.end(), q_quant, q_quant + qstride);
   }
   if (tests != nullptr) *tests += local_tests;
   std::vector<PointId> out;

@@ -114,7 +114,7 @@ void SubsetIndex::ProbeNode(const Node& node, Probe* probe) const {
   // this node's offset in Query's output.
   ++probe->nodes;
   if (probe->result.first == kernels::kNoDominator && !node.points.empty()) {
-    const kernels::BatchProbeResult r = kernels::DominatesAnyPacked(
+    const kernels::BatchProbeResult r = kernels::DominatesAny(
         *rows_, node.points, node.qrows.data(), probe->q_row, probe->q_quant,
         num_dims_);
     probe->result.scanned += r.scanned;
@@ -318,30 +318,6 @@ bool SubsetIndex::Remove(PointId id, Subspace subspace) {
   return true;
 }
 
-void SubsetIndex::CompactNode(Node* node, std::size_t* pruned) {
-  for (auto& [dim, child] : node->children) {
-    (void)dim;
-    CompactNode(child.get(), pruned);
-  }
-  std::erase_if(node->children, [pruned](const auto& entry) {
-    if (entry.second->points.empty() && entry.second->children.empty()) {
-      ++*pruned;
-      return true;
-    }
-    return false;
-  });
-}
-
-std::size_t SubsetIndex::Compact() {
-  std::size_t pruned = 0;
-  CompactNode(&root_, &pruned);
-  num_nodes_ -= pruned;
-#ifdef SKYLINE_CHECKS
-  ValidateAccounting();
-#endif
-  return pruned;
-}
-
 #ifdef SKYLINE_CHECKS
 void SubsetIndex::ValidateAccounting() const {
   struct Walker {
@@ -368,8 +344,8 @@ void SubsetIndex::ValidateAccounting() const {
         SKYLINE_DCHECK(static_cast<int>(dim) > last,
                        "index: child keys not strictly increasing");
         // Reclamation invariant: an empty childless node can never
-        // satisfy a query, so Add/Remove/MergeFrom/Compact must never
-        // leave one behind (num_nodes() counts live nodes only).
+        // satisfy a query, so Add/Remove/MergeFrom must never leave
+        // one behind (num_nodes() counts live nodes only).
         SKYLINE_DCHECK(!child->children.empty() || !child->points.empty(),
                        "index: dead (empty leaf) node not reclaimed");
         last = static_cast<int>(dim);

@@ -24,10 +24,10 @@
 // same order as the ids. FindDominator then answers "does any stored
 // point dominate q?" by walking the nodes Query would visit, in Query's
 // order, with one packed-row kernel call per node
-// (kernels::DominatesAnyPacked): no candidate list is built, and an
-// exact row is read only for the members the packed compare cannot
-// reject. Results, dominance-test charges and the index counters equal
-// those of Query followed by kernels::DominatesAny on its output.
+// (kernels::DominatesAny): no candidate list is built, and an exact row
+// is read only for the members the packed compare cannot reject.
+// Results, dominance-test charges and the index counters equal those of
+// Query followed by a scalar early-exit scan of its output.
 //
 // Thread safety: the const members (Query, QueryContained,
 // FindDominator, num_*) touch no mutable state, so any number of
@@ -87,12 +87,13 @@ class SubsetIndex {
   /// Query fused with the dominance scan over its output: walks the
   /// nodes Query(subspace) visits, in Query's order, testing each
   /// node's members against row `q` of the bound dataset with one
-  /// kernels::DominatesAnyPacked call per node, and stops scanning at
-  /// the first dominator. Returns what kernels::DominatesAny returns on
-  /// Query's output (`first` is a position in it). Adds to `*stats` what
-  /// that pair reports: one index query, Query's whole candidate count
-  /// and node count (nodes after an early exit are counted, not
-  /// scanned), and `scanned` dominance tests. The packed prefilter runs
+  /// kernels::DominatesAny call per node, and stops scanning at the
+  /// first dominator. Returns what a scalar early-exit scan of Query's
+  /// output returns (`first` is a position in it, `scanned` the members
+  /// scanned up to and including it). Adds to `*stats` what that pair
+  /// reports: one index query, Query's whole candidate count and node
+  /// count (nodes after an early exit are counted, not scanned), and
+  /// `scanned` dominance tests. The packed prefilter runs
   /// when the members carry rows and SKYLINE_PREFILTER allows it;
   /// otherwise the same walk runs exact compares. Requires a bound
   /// dataset.
@@ -114,12 +115,6 @@ class SubsetIndex {
   /// add/remove streams (the streaming extension depends on this to
   /// stay memory-bounded).
   bool Remove(PointId id, Subspace subspace);
-
-  /// Prunes every empty leaf chain in the tree and returns the number
-  /// of nodes reclaimed. With the eager reclamation done by Remove this
-  /// is a no-op (returns 0); it exists as a safety net for callers that
-  /// want to assert the no-dead-nodes invariant explicitly.
-  std::size_t Compact();
 
   /// Splices every entry of `other` (same dimensionality and bound
   /// dataset) into this index, leaving `other` empty. Equivalent to
@@ -180,10 +175,6 @@ class SubsetIndex {
 
   /// Nodes in the subtree rooted at `node`, including `node` itself.
   static std::size_t CountSubtreeNodes(const Node& node);
-
-  /// Recursively drops children whose subtree holds no points;
-  /// increments `*pruned` per reclaimed node.
-  static void CompactNode(Node* node, std::size_t* pruned);
 
   Dim num_dims_;
   /// Dataset the ids name rows of (null: a plain id index).

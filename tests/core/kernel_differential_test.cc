@@ -47,6 +47,20 @@ Dataset TieHeavyDataset(std::size_t n, Dim d, std::uint64_t seed) {
   return Dataset(d, std::move(values));
 }
 
+/// The packed rows of `ids`, in id order and exactly sized, as a
+/// SubsetIndex node or the skycube window holds them beside their ids
+/// (empty without a plane).
+std::vector<std::uint8_t> PackedRows(const AlignedDataset& aligned,
+                                     std::span<const PointId> ids) {
+  std::vector<std::uint8_t> out;
+  if (!aligned.has_quantized()) return out;
+  for (PointId id : ids) {
+    const std::uint8_t* row = aligned.qrow_unchecked(id);
+    out.insert(out.end(), row, row + aligned.qstride());
+  }
+  return out;
+}
+
 const Dim kDims[] = {1, 2, 3, 8, 13, 24, 64};
 
 TEST(KernelDifferentialTest, PairwiseKernelsAgreeOnTieHeavyData) {
@@ -144,9 +158,10 @@ TEST(KernelDifferentialTest, DominatesAnyMatchesScalarLoopAndCharge) {
     const std::size_t n = 64;
     const Dataset data = TieHeavyDataset(n, d, 4000 + d);
     AlignedDataset aligned(data);
-    // Plane built so the dispatched wrapper engages the prefilter on
-    // the threshold-sized candidate lists below.
+    // Plane built so the dispatched wrapper gets packed rows, as the
+    // probe callers hand it them, unless SKYLINE_PREFILTER is off.
     aligned.EnsureQuantized();
+    const bool prefilter = cpu::PrefilterEnabled();
     for (int trial = 0; trial < 200; ++trial) {
       std::vector<PointId> candidates(rng() % 12);
       for (PointId& c : candidates) c = static_cast<PointId>(rng() % n);
@@ -164,8 +179,10 @@ TEST(KernelDifferentialTest, DominatesAnyMatchesScalarLoopAndCharge) {
         }
       }
 
-      const kernels::BatchProbeResult r =
-          kernels::DominatesAny(aligned, candidates, aligned.row(q), d);
+      const std::vector<std::uint8_t> packed = PackedRows(aligned, candidates);
+      const kernels::BatchProbeResult r = kernels::DominatesAny(
+          aligned, candidates, packed.data(), aligned.row(q),
+          prefilter ? aligned.qrow_unchecked(q) : nullptr, d);
       EXPECT_EQ(r.first, scalar_first) << "d=" << d << " trial=" << trial;
       EXPECT_EQ(r.scanned, scalar_scanned) << "d=" << d << " trial=" << trial;
     }
@@ -246,6 +263,7 @@ TEST(KernelDifferentialTest, DominanceTesterBatchedChargeEqualsScalarCharge) {
   const Dataset data = TieHeavyDataset(n, d, 7000);
   AlignedDataset aligned(data);
   ASSERT_TRUE(aligned.EnsureQuantized());
+  const bool prefilter = cpu::PrefilterEnabled();
   DominanceTester pairwise(data);
   std::uint64_t batched_tests = 0;
   for (int trial = 0; trial < 300; ++trial) {
@@ -260,8 +278,10 @@ TEST(KernelDifferentialTest, DominanceTesterBatchedChargeEqualsScalarCharge) {
         break;
       }
     }
-    const kernels::BatchProbeResult batched =
-        kernels::DominatesAny(aligned, candidates, aligned.row(q), d);
+    const std::vector<std::uint8_t> packed = PackedRows(aligned, candidates);
+    const kernels::BatchProbeResult batched = kernels::DominatesAny(
+        aligned, candidates, packed.data(), aligned.row(q),
+        prefilter ? aligned.qrow_unchecked(q) : nullptr, d);
     batched_tests += batched.scanned;
 
     EXPECT_EQ(batched.first != kernels::kNoDominator, scalar_dominated)
@@ -366,8 +386,10 @@ void CheckBackendAgainstScalar(const kernels::simd::KernelOps& ops,
     std::size_t want_first;
     std::uint64_t want_scanned;
     ScalarDominatesAny(data, candidates, q, d, &want_first, &want_scanned);
-    const kernels::BatchProbeResult probe =
-        ops.dominates_any(aligned, candidates, aligned.row(q), d, prefilter);
+    const std::vector<std::uint8_t> packed = PackedRows(aligned, candidates);
+    const kernels::BatchProbeResult probe = ops.dominates_any(
+        aligned, candidates, packed.data(), aligned.row(q),
+        prefilter ? aligned.qrow_unchecked(q) : nullptr, d);
     EXPECT_EQ(probe.first, want_first)
         << isa << " prefilter=" << prefilter << " d=" << d
         << " trial=" << trial;
@@ -490,16 +512,16 @@ TEST(KernelDifferentialTest, BackendsAgreeOnBucketBoundaryValues) {
 }
 
 // ---------------------------------------------------------------------------
-// The packed-block kernel (dominates_any_packed) against the id-list
-// reference: a block of 0..17 members, each with its packed row copied
-// out of the plane into an exactly sized buffer (as a SubsetIndex node
-// holds them, so a read past the block or past a row is visible to
-// ASan), must give the scalar early-exit loop's `first` and `scanned`
-// on every backend, with the probe's packed row (prefilter on) and
-// without it (exact compares only).
+// The probe kernel over blocks of every length: a block of 0..17
+// members, each with its packed row copied out of the plane into an
+// exactly sized buffer (as a SubsetIndex node holds them, so a read
+// past the block or past a row is visible to ASan), must give the
+// scalar early-exit loop's `first` and `scanned` on every backend, with
+// the probe's packed row (prefilter on) and without it (exact compares
+// only).
 // ---------------------------------------------------------------------------
 
-/// Checks every backend's packed kernel over blocks of every length in
+/// Checks every backend's probe kernel over blocks of every length in
 /// 0..17 drawn from `data`. With `with_plane` the prefilter runs both on
 /// and off; without, only the exact walk is possible.
 void CheckPackedBlocksAgainstScalar(const Dataset& data,
@@ -516,13 +538,9 @@ void CheckPackedBlocksAgainstScalar(const Dataset& data,
     // A member equal to the probe: never a dominator, never rejected.
     if (len > 0 && trial % 3 == 0) ids[rng() % len] = q;
 
-    std::vector<std::uint8_t> qrows;
+    const std::vector<std::uint8_t> qrows = PackedRows(aligned, ids);
     std::vector<std::uint8_t> q_packed;
     if (with_plane) {
-      for (PointId id : ids) {
-        const std::uint8_t* row = aligned.qrow_unchecked(id);
-        qrows.insert(qrows.end(), row, row + qstride);
-      }
       const std::uint8_t* row = aligned.qrow_unchecked(q);
       q_packed.assign(row, row + qstride);
     }
@@ -534,7 +552,7 @@ void CheckPackedBlocksAgainstScalar(const Dataset& data,
       if (ops == nullptr) continue;
       for (bool prefilter : {false, true}) {
         if (prefilter && !with_plane) continue;
-        const kernels::BatchProbeResult r = ops->dominates_any_packed(
+        const kernels::BatchProbeResult r = ops->dominates_any(
             aligned, ids, qrows.data(), aligned.row(q),
             prefilter ? q_packed.data() : nullptr, d);
         EXPECT_EQ(r.first, want_first)
@@ -631,9 +649,9 @@ TEST(KernelDifferentialTest, QuantizeRowIsMonotoneAndExactOnMembers) {
 
 TEST(KernelDifferentialTest, NonFiniteProbeSkipsPrefilterButStaysExact) {
   // Dataset finite (quantized plane exists) but the probe row has a
-  // NaN / infinity: QuantizeRow must refuse it and the batch kernels
-  // must still match the scalar reference bit for bit with the
-  // prefilter requested.
+  // NaN / infinity: QuantizeRow must refuse it, and the probe kernel,
+  // handed the members' packed rows but no packed probe row, must still
+  // match the scalar reference bit for bit.
   const Dim d = 5;
   const Dataset data = TieHeavyDataset(48, d, 12000);
   AlignedDataset aligned(data);
@@ -644,11 +662,13 @@ TEST(KernelDifferentialTest, NonFiniteProbeSkipsPrefilterButStaysExact) {
                         -std::numeric_limits<Value>::infinity()};
   std::vector<PointId> all(aligned.num_rows());
   std::iota(all.begin(), all.end(), PointId{0});
+  const std::vector<std::uint8_t> packed = PackedRows(aligned, all);
   for (Value bad : kBad) {
     std::vector<Value> probe(data.row(7), data.row(7) + d);
     probe[d / 2] = bad;
     alignas(kRowAlignment) std::uint8_t qbuf[AlignedDataset::kMaxQuantDims];
-    EXPECT_FALSE(aligned.QuantizeRow(probe.data(), qbuf));
+    const bool quantized = aligned.QuantizeRow(probe.data(), qbuf);
+    EXPECT_FALSE(quantized);
 
     // Scalar reference over the raw probe values.
     std::size_t want_first = kernels::kNoDominator;
@@ -663,8 +683,9 @@ TEST(KernelDifferentialTest, NonFiniteProbeSkipsPrefilterButStaysExact) {
     for (cpu::IsaLevel level : cpu::kAllLevels) {
       const kernels::simd::KernelOps* ops = cpu::OpsFor(level);
       if (ops == nullptr) continue;
-      const kernels::BatchProbeResult r = ops->dominates_any(
-          aligned, all, probe.data(), d, /*prefilter=*/true);
+      const kernels::BatchProbeResult r =
+          ops->dominates_any(aligned, all, packed.data(), probe.data(),
+                             quantized ? qbuf : nullptr, d);
       EXPECT_EQ(r.first, want_first) << cpu::IsaName(level);
       EXPECT_EQ(r.scanned, want_scanned) << cpu::IsaName(level);
     }
@@ -680,16 +701,16 @@ TEST(KernelDifferentialTest, NonFiniteDatasetHasNoQuantizedPlane) {
   AlignedDataset aligned(data);
   EXPECT_FALSE(aligned.EnsureQuantized());
   EXPECT_FALSE(aligned.has_quantized());
-  // The dispatched wrapper (which only requests the prefilter when the
-  // plane exists) must still agree with the scalar loop.
+  // Without a plane a caller hands the dispatched wrapper no packed
+  // rows; its exact walk must still agree with the scalar loop.
   std::vector<PointId> all(aligned.num_rows());
   std::iota(all.begin(), all.end(), PointId{0});
   for (PointId q = 0; q < aligned.num_rows(); ++q) {
     std::size_t want_first;
     std::uint64_t want_scanned;
     ScalarDominatesAny(data, all, q, d, &want_first, &want_scanned);
-    const kernels::BatchProbeResult r =
-        kernels::DominatesAny(aligned, all, aligned.row(q), d);
+    const kernels::BatchProbeResult r = kernels::DominatesAny(
+        aligned, all, /*qrows=*/nullptr, aligned.row(q), nullptr, d);
     EXPECT_EQ(r.first, want_first) << "q=" << q;
     EXPECT_EQ(r.scanned, want_scanned) << "q=" << q;
   }

@@ -91,17 +91,18 @@ TEST(FuzzRegressionTest, SubsetIndexCorpusOps) {
 }
 
 // fuzz/corpus/subset_index/seed-reclaim.bin: add/remove churn on shared
-// and private paths followed by Compact — the node-reclamation oracle
-// (num_nodes == distinct live reversed-path prefixes) after every op.
+// and private paths, with the empty-probe check after each remove — the
+// node-reclamation oracle (num_nodes == distinct live reversed-path
+// prefixes) after every op.
 TEST(FuzzRegressionTest, SubsetIndexCorpusReclaim) {
   const std::vector<std::uint8_t> input = {
       7,                 // nd = 8
       0, 1, 0b1100, 0,   // Add id=1 mask={2,3}
       0, 2, 0b1010, 0,   // Add id=2 mask={1,3} (shares reversed prefix)
       4, 1, 1, 0,        // Remove a stored entry (oracle branch)
-      8,                 // Compact: must find nothing to prune
+      8,                 // the empty probe returns every stored id
       4, 1, 0, 0,        // Remove again
-      8,                 // Compact on the emptier tree
+      8,                 // the same on the emptier tree
       5, 0, 0,           // Query {} returns the survivors
   };
   RunSubsetIndexFuzzInput(input.data(), input.size());
