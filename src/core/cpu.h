@@ -49,8 +49,8 @@ IsaLevel ActiveIsa();
 
 /// Ops table of a specific level, or nullptr when that level is not
 /// executable here. OpsFor(ActiveIsa()) is never null. The differential
-/// tests iterate all non-null tables to pin every backend against the
-/// scalar reference on the same machine.
+/// tests iterate all non-null tables to pin every backend against
+/// scalar loops of their own on the same machine.
 const kernels::simd::KernelOps* OpsFor(IsaLevel level);
 
 /// The dispatched table — what src/core/kernels.h routes through.

@@ -102,7 +102,7 @@ inline Subspace DominatingSubspaceEx(const Value* q, const Value* p, Dim d,
 /// scanned** — every call costs one O(d) row scan and charges exactly
 /// one. The batched kernels (kernels::DominatesAny, the one probe of
 /// the subset index's node walk, the skycube window scan and the
-/// parallel engine, and the mask folds) follow the same contract: they
+/// parallel engine, and Merge's fold) follow the same contract: they
 /// charge one per pivot the equivalent scalar early-exit loop would
 /// have consumed, so DT tables stay comparable to the paper regardless
 /// of which path executed; the differential tests assert the batched

@@ -1,6 +1,8 @@
 // Vectorized dominance kernels: branch-light, auto-vectorization-friendly
 // implementations of the pairwise tests of src/core/dominance.h, plus the
-// batched one-vs-many forms the subset algorithms actually execute.
+// two batched kernels the subset algorithms actually execute: the
+// one-vs-many probe (does any member of a block dominate q?) and Merge's
+// fold (D_{q<pivot} for every row of a block).
 //
 // Two rules make these loops vectorizable where the scalar reference
 // versions are not:
@@ -15,21 +17,23 @@
 //   2. Restrict-qualified pointers into padded, 64-byte-aligned rows
 //      (AlignedDataset), so rows never alias and loads are aligned.
 //
-// Semantics contract: every kernel returns bit-identical results to its
-// scalar reference on the same inputs — same booleans, same Subspace
-// bits, same iteration order and early-exit points in the batched forms.
-// The batched forms additionally report `scanned`, the number of pivots
-// a scalar early-exit loop would have charged to the dominance-test
-// counter; DominanceTester and the Merge pass add exactly that, so DT
-// statistics stay comparable to the paper no matter which path ran.
-// tests/core/kernel_differential_test.cc enforces both properties.
+// Semantics contract: every kernel returns bit-identical results to
+// scalar loops over the pairwise tests of src/core/dominance.h on the
+// same inputs — same booleans, same Subspace bits, and in the probe the
+// same iteration order and early-exit point. The probe additionally
+// reports `scanned`, the number of members a scalar early-exit loop
+// would have charged to the dominance-test counter; its callers add
+// exactly that, so DT statistics stay comparable to the paper no matter
+// which path ran. tests/core/kernel_differential_test.cc enforces both
+// properties with scalar loops of its own.
 //
 // The batched forms are thin wrappers over a per-ISA backend table
 // (src/core/simd_dispatch.h) resolved once per process by src/core/cpu.h:
-// explicit AVX-512/AVX2 intrinsics when the CPU has them, the portable
-// auto-vectorized loops otherwise. Every backend obeys the same
-// semantics contract, so callers see identical results and charges no
-// matter which ISA executed — only the wall clock changes. DominatesAny
+// explicit AVX-512/AVX2 intrinsics when the CPU has them, portable
+// auto-vectorized primitives otherwise, all under the same loops of
+// src/core/simd_batch.h. Every backend obeys the same semantics
+// contract, so callers see identical results and charges no matter
+// which ISA executed — only the wall clock changes. DominatesAny
 // additionally consults the quantized block prefilter (docs/kernels.md)
 // whenever its caller hands it the probe's packed row.
 //
@@ -136,9 +140,9 @@ inline Subspace DominatingSubspaceEx(const Value* SKYLINE_RESTRICT q,
   return Subspace(bits);
 }
 
-// kNoDominator / BatchProbeResult / BatchSubspaceResult live in
-// src/core/simd_dispatch.h (shared with the per-ISA backends) and are
-// re-exported here through the include above.
+// kNoDominator / BatchProbeResult live in src/core/simd_dispatch.h
+// (shared with the per-ISA backends) and are re-exported here through
+// the include above.
 
 /// Tests probe row `q_row` against a block of stored points in a
 /// single pass, in block order — the retrieval-loop shape of
@@ -164,26 +168,6 @@ inline BatchProbeResult DominatesAny(const AlignedDataset& rows,
   SKYLINE_ASSERT(q_quant == nullptr || rows.has_quantized(),
                  "DominatesAny: packed probe without a quantized plane");
   return cpu::ActiveOps().dominates_any(rows, ids, qrows, q_row, q_quant, d);
-}
-
-/// Folds the dominating subspace of candidate `q_row` over the pivot
-/// block `ids` in one pass — the shape of the streaming skyline's
-/// reference-set filter and of the Merge postcondition. A pivot with empty
-/// D_{q<p} that is strictly better somewhere eliminates q and stops the
-/// scan; an exact duplicate of q contributes nothing and the scan
-/// continues, exactly like the scalar loops. Dispatches to the active
-/// ISA backend (no prefilter: every scanned pivot must contribute its
-/// exact mask bits).
-inline BatchSubspaceResult DominatingSubspaceBatch(const AlignedDataset& rows,
-                                                   std::span<const PointId> ids,
-                                                   const Value* q_row, Dim d) {
-  if constexpr (kSkylineAsserts) {
-    for (PointId id : ids) {
-      SKYLINE_ASSERT(id < rows.num_rows(),
-                     "DominatingSubspaceBatch: id out of range");
-    }
-  }
-  return cpu::ActiveOps().dominating_subspace_batch(rows, ids, q_row, d);
 }
 
 /// The Merge inner-loop shape: D_{q<pivot} plus the q-somewhere-worse

@@ -2,21 +2,20 @@
 // the shared batched loops of src/core/simd_batch.h run on.
 //
 // Layout facts the intrinsics rely on (see src/core/aligned_dataset.h):
-//   * exact rows are 64-byte aligned with a padded stride, but the
-//     padding tail may hold ANY bit pattern (tests poison it with NaN
-//     and -inf), so tails are read with _mm256_maskload_pd — masked
-//     lanes are architecturally not read and materialize as 0.0, and
-//     0.0 vs 0.0 compares false for both GT and LT, i.e. neutral;
-//   * the probe row of a one-vs-many call can be EXTERNAL packed
-//     memory of exactly d doubles (streaming arrivals), so full-width
-//     loads are only issued for whole in-bounds chunks;
+//   * every exact row a batched kernel reads, probe and pivot rows
+//     included, is an AlignedDataset row (no external probe row): 64-byte
+//     aligned with a padded stride, but the padding tail may hold ANY
+//     bit pattern (tests poison it with NaN and -inf), so tails are read
+//     with _mm256_maskload_pd — masked lanes are architecturally not
+//     read and materialize as 0.0, and 0.0 vs 0.0 compares false for
+//     both GT and LT, i.e. neutral;
 //   * packed quantized rows are qstride() bytes (a multiple of 8) with
 //     a neutral zero tail on both sides; they are read with
 //     _mm256_maskload_epi64, so no load reaches past a row or a block.
 //
 // Comparison predicates are ordered-quiet (_CMP_GT_OQ/_CMP_LT_OQ):
 // false on NaN, exactly like the scalar `a > b` / `a < b`, which keeps
-// results bit-identical to src/core/simd_scalar.cc on NaN inputs.
+// results bit-identical to the scalar backend on NaN inputs.
 #include <cstdint>
 #include <cstring>
 
@@ -52,7 +51,7 @@ struct Avx2 {
 
   /// Dominance of up to kGroup pivot rows over one probe row, as a
   /// bitmask (bit j set iff p[j] dominates q). Flag accumulation across
-  /// the row, decision at the end — same shape as the scalar reference.
+  /// the row, decision at the end — same shape as kernels::Dominates.
   static unsigned Dominates(const Value* const* p, unsigned m,
                             const Value* q, Dim d) {
     __m256d worse[kGroup];
@@ -91,39 +90,32 @@ struct Avx2 {
     return out;
   }
 
-  /// D_{a<b} bits plus the a-somewhere-worse flag for the pairs
-  /// (a, b) = (shared, rows[j]) when kSharedFirst, else (rows[j], shared).
-  template <bool kSharedFirst>
-  static void Masks(const Value* shared, const Value* const* rows,
-                    unsigned m, Dim d, std::uint64_t* out_bits,
-                    unsigned* out_worse) {
+  /// D_{rows[j]<p} bits plus the rows[j]-somewhere-worse flag.
+  static void Masks(const Value* p, const Value* const* rows, unsigned m,
+                    Dim d, std::uint64_t* out_bits, unsigned* out_worse) {
     std::uint64_t bits[kGroup] = {0, 0, 0, 0};
     __m256d worse[kGroup];
     for (unsigned j = 0; j < m; ++j) worse[j] = _mm256_setzero_pd();
     Dim i = 0;
     for (; i + 4 <= d; i += 4) {
-      const __m256d vs = _mm256_loadu_pd(shared + i);
+      const __m256d vp = _mm256_loadu_pd(p + i);
       for (unsigned j = 0; j < m; ++j) {
         const __m256d vr = _mm256_loadu_pd(rows[j] + i);
-        const __m256d va = kSharedFirst ? vs : vr;
-        const __m256d vb = kSharedFirst ? vr : vs;
         bits[j] |= static_cast<std::uint64_t>(static_cast<unsigned>(
-                       _mm256_movemask_pd(_mm256_cmp_pd(va, vb, _CMP_LT_OQ))))
+                       _mm256_movemask_pd(_mm256_cmp_pd(vr, vp, _CMP_LT_OQ))))
                    << i;
-        worse[j] = _mm256_or_pd(worse[j], _mm256_cmp_pd(va, vb, _CMP_GT_OQ));
+        worse[j] = _mm256_or_pd(worse[j], _mm256_cmp_pd(vr, vp, _CMP_GT_OQ));
       }
     }
     if (i < d) {
       const __m256i tm = TailMask(d - i);
-      const __m256d vs = _mm256_maskload_pd(shared + i, tm);
+      const __m256d vp = _mm256_maskload_pd(p + i, tm);
       for (unsigned j = 0; j < m; ++j) {
         const __m256d vr = _mm256_maskload_pd(rows[j] + i, tm);
-        const __m256d va = kSharedFirst ? vs : vr;
-        const __m256d vb = kSharedFirst ? vr : vs;
         bits[j] |= static_cast<std::uint64_t>(static_cast<unsigned>(
-                       _mm256_movemask_pd(_mm256_cmp_pd(va, vb, _CMP_LT_OQ))))
+                       _mm256_movemask_pd(_mm256_cmp_pd(vr, vp, _CMP_LT_OQ))))
                    << i;
-        worse[j] = _mm256_or_pd(worse[j], _mm256_cmp_pd(va, vb, _CMP_GT_OQ));
+        worse[j] = _mm256_or_pd(worse[j], _mm256_cmp_pd(vr, vp, _CMP_GT_OQ));
       }
     }
     for (unsigned j = 0; j < m; ++j) {

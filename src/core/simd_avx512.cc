@@ -74,38 +74,31 @@ struct Avx512 {
     return out;
   }
 
-  /// D_{a<b} bits plus the a-somewhere-worse flag for the pairs
-  /// (a, b) = (shared, rows[j]) when kSharedFirst, else (rows[j], shared).
-  template <bool kSharedFirst>
-  static void Masks(const Value* shared, const Value* const* rows,
-                    unsigned m, Dim d, std::uint64_t* out_bits,
-                    unsigned* out_worse) {
+  /// D_{rows[j]<p} bits plus the rows[j]-somewhere-worse flag.
+  static void Masks(const Value* p, const Value* const* rows, unsigned m,
+                    Dim d, std::uint64_t* out_bits, unsigned* out_worse) {
     std::uint64_t bits[kGroup] = {0, 0, 0, 0};
     __mmask8 worse[kGroup] = {0, 0, 0, 0};
     Dim i = 0;
     for (; i + 8 <= d; i += 8) {
-      const __m512d vs = _mm512_loadu_pd(shared + i);
+      const __m512d vp = _mm512_loadu_pd(p + i);
       for (unsigned j = 0; j < m; ++j) {
         const __m512d vr = _mm512_loadu_pd(rows[j] + i);
-        const __m512d va = kSharedFirst ? vs : vr;
-        const __m512d vb = kSharedFirst ? vr : vs;
         bits[j] |=
-            static_cast<std::uint64_t>(_mm512_cmp_pd_mask(va, vb, _CMP_LT_OQ))
+            static_cast<std::uint64_t>(_mm512_cmp_pd_mask(vr, vp, _CMP_LT_OQ))
             << i;
-        worse[j] |= _mm512_cmp_pd_mask(va, vb, _CMP_GT_OQ);
+        worse[j] |= _mm512_cmp_pd_mask(vr, vp, _CMP_GT_OQ);
       }
     }
     if (i < d) {
       const __mmask8 tm = TailMask(d - i);
-      const __m512d vs = _mm512_maskz_loadu_pd(tm, shared + i);
+      const __m512d vp = _mm512_maskz_loadu_pd(tm, p + i);
       for (unsigned j = 0; j < m; ++j) {
         const __m512d vr = _mm512_maskz_loadu_pd(tm, rows[j] + i);
-        const __m512d va = kSharedFirst ? vs : vr;
-        const __m512d vb = kSharedFirst ? vr : vs;
         bits[j] |=
-            static_cast<std::uint64_t>(_mm512_cmp_pd_mask(va, vb, _CMP_LT_OQ))
+            static_cast<std::uint64_t>(_mm512_cmp_pd_mask(vr, vp, _CMP_LT_OQ))
             << i;
-        worse[j] |= _mm512_cmp_pd_mask(va, vb, _CMP_GT_OQ);
+        worse[j] |= _mm512_cmp_pd_mask(vr, vp, _CMP_GT_OQ);
       }
     }
     for (unsigned j = 0; j < m; ++j) {

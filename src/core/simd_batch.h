@@ -1,12 +1,13 @@
-// Batched loops of the explicit-SIMD kernel backends, written once over
-// a per-ISA primitive struct. src/core/simd_avx2.cc and
+// Batched loops of the kernel backends, written once over a per-ISA
+// primitive struct. src/core/simd_scalar.cc, src/core/simd_avx2.cc and
 // src/core/simd_avx512.cc each define their primitives as a struct in
 // their own unnamed namespace and instantiate these templates inside
-// their own -m-flagged translation unit. Every instantiation therefore
-// has internal linkage: no vector instruction can end up behind a
-// symbol that a baseline-ISA translation unit links against. This
-// header holds no intrinsics (scripts/check_invariants.py R7) and is
-// included only by those two backends.
+// their own translation unit (the vector ones -m-flagged). Every
+// instantiation therefore has internal linkage: no vector instruction
+// can end up behind a symbol that a baseline-ISA translation unit links
+// against. This header holds no intrinsics
+// (scripts/check_invariants.py R7) and is included only by the three
+// backends.
 //
 // The primitive struct `Isa` supplies:
 //
@@ -14,11 +15,9 @@
 //                        ISA's register budget); m <= kGroup below.
 //   Dominates(p, m, q, d)
 //                        bit j set iff row p[j] dominates row q.
-//   Masks<kSharedFirst>(shared, rows, m, d, bits, worse)
-//                        for each j < m, the D_{a<b} bits and the
-//                        a-strictly-worse-somewhere flag of the pair
-//                        (a, b) = (shared, rows[j]) when kSharedFirst,
-//                        (rows[j], shared) otherwise.
+//   Masks(p, rows, m, d, bits, worse)
+//                        for each j < m, D_{rows[j]<p} and the
+//                        rows[j]-strictly-worse-somewhere flag.
 //   QuantMayDominate(s, m, q, qstride)
 //                        for m <= 64 packed rows of qstride bytes each,
 //                        contiguous from s: bit j set iff no byte of
@@ -26,8 +25,8 @@
 //                        clear bit is a sound non-dominance proof.
 //
 // The loops implement the semantics contract of src/core/kernels.h:
-// results, early-exit points and `scanned` charges identical to the
-// scalar reference loops of src/core/simd_scalar.cc.
+// results, early-exit points and `scanned` charges identical to a
+// scalar early-exit loop of pairwise tests.
 #ifndef SKYLINE_CORE_SIMD_BATCH_H_
 #define SKYLINE_CORE_SIMD_BATCH_H_
 
@@ -87,8 +86,8 @@ BatchProbeResult DominatesAny(const AlignedDataset& rows,
       const unsigned dom = Isa::Dominates(prow, g, q_row, d);
       if (dom != 0) {
         // Members before the first dominator were all scanned, by the
-        // packed compare or the exact one; the reference loop charges
-        // exactly those plus the dominator.
+        // packed compare or the exact one; a scalar early-exit loop
+        // charges exactly those plus the dominator.
         const std::size_t first =
             pidx[static_cast<unsigned>(std::countr_zero(dom))];
         return {first, first + 1};
@@ -96,38 +95,6 @@ BatchProbeResult DominatesAny(const AlignedDataset& rows,
     }
   }
   return {kNoDominator, n};
-}
-
-template <class Isa>
-BatchSubspaceResult DominatingSubspaceBatch(const AlignedDataset& rows,
-                                            std::span<const PointId> ids,
-                                            const Value* q_row, Dim d) {
-  constexpr unsigned kGroup = Isa::kGroup;
-  BatchSubspaceResult r;
-  const std::size_t n = ids.size();
-  for (std::size_t i = 0; i < n; i += kGroup) {
-    const unsigned m =
-        static_cast<unsigned>(n - i < kGroup ? n - i : kGroup);
-    const Value* prow[kGroup];
-    for (unsigned j = 0; j < m; ++j) {
-      prow[j] = rows.row_unchecked(ids[i + j]);
-    }
-    std::uint64_t bits[kGroup];
-    unsigned worse[kGroup];
-    Isa::template Masks</*kSharedFirst=*/true>(q_row, prow, m, d, bits,
-                                               worse);
-    // Fold in block order; charges accrue here (not at collection) so
-    // pivots past an eliminating one stay uncharged.
-    for (unsigned j = 0; j < m; ++j) {
-      ++r.scanned;
-      if (bits[j] == 0 && worse[j] != 0) {
-        r.dominated_by = i + j;
-        return r;
-      }
-      r.mask |= Subspace(bits[j]);
-    }
-  }
-  return r;
 }
 
 template <class Isa>
@@ -146,8 +113,7 @@ void DominatingSubspaceExBatch(const AlignedDataset& rows,
     }
     std::uint64_t bits[kGroup];
     unsigned worse[kGroup];
-    Isa::template Masks</*kSharedFirst=*/false>(pivot_row, rrow, m, d, bits,
-                                                worse);
+    Isa::Masks(pivot_row, rrow, m, d, bits, worse);
     for (unsigned j = 0; j < m; ++j) {
       out_masks[i + j] = Subspace(bits[j]);
       out_worse[i + j] = worse[j] != 0 ? 1 : 0;
@@ -159,7 +125,6 @@ void DominatingSubspaceExBatch(const AlignedDataset& rows,
 template <class Isa>
 inline constexpr KernelOps kBatchOps = {
     &DominatesAny<Isa>,
-    &DominatingSubspaceBatch<Isa>,
     &DominatingSubspaceExBatch<Isa>,
 };
 

@@ -1,22 +1,22 @@
-// Dispatch table of the batched dominance kernels: the result structs
+// Dispatch table of the batched dominance kernels: the result struct
 // shared by every ISA backend, the function-pointer table the runtime
 // dispatcher (src/core/cpu.h) resolves once per process, and the
 // per-ISA entry points implemented in src/core/simd_{scalar,avx2,
-// avx512}.cc (the AVX2 and AVX-512 ones instantiated from the shared
-// loops of src/core/simd_batch.h).
+// avx512}.cc, each instantiated from the shared loops of
+// src/core/simd_batch.h over that backend's primitives.
 //
 // Layering contract (enforced by scripts/check_invariants.py R7): raw
 // intrinsics live ONLY in src/core/simd_*.cc. Everything else — the
 // public wrappers of src/core/kernels.h included — reaches a batched
 // kernel through KernelOps, so exactly one place decides which ISA
 // executes and the differential tests can pin every backend against
-// the scalar reference.
+// scalar loops of their own.
 //
-// Every backend implements the same semantics contract as the scalar
-// reference loops (see src/core/kernels.h): bit-identical booleans,
-// Subspace bits, early-exit points, and `scanned` charges. The probe's
-// packed row, when `dominates_any` is handed one, additionally lets the
-// backend compare it against the members' packed quantized rows (see
+// Every backend implements the same semantics contract (see
+// src/core/kernels.h): bit-identical booleans, Subspace bits,
+// early-exit points, and `scanned` charges. The probe's packed row,
+// when `dominates_any` is handed one, additionally lets the backend
+// compare it against the members' packed quantized rows (see
 // docs/kernels.md): a quantized reject is sound by construction, so
 // results and charges are identical with the prefilter on or off.
 #ifndef SKYLINE_CORE_SIMD_DISPATCH_H_
@@ -48,21 +48,6 @@ struct BatchProbeResult {
   std::uint64_t scanned = 0;
 };
 
-/// Result of folding D_{q<p} over a pivot block.
-struct BatchSubspaceResult {
-  /// Union of D_{q<p} over every pivot scanned before the exit point.
-  Subspace mask;
-
-  /// Block index of the first pivot that weakly dominates q while being
-  /// strictly better somewhere (i.e. q is eliminated), or kNoDominator.
-  std::size_t dominated_by = kNoDominator;
-
-  /// Pivots charged, with the same early-exit semantics as a scalar
-  /// fold: everything up to and including `dominated_by`, or all
-  /// pivots.
-  std::uint64_t scanned = 0;
-};
-
 namespace simd {
 
 /// One ISA backend of the batched kernels. Callers never invoke a
@@ -74,9 +59,6 @@ struct KernelOps {
                                     const std::uint8_t* qrows,
                                     const Value* q_row,
                                     const std::uint8_t* q_quant, Dim d);
-  BatchSubspaceResult (*dominating_subspace_batch)(const AlignedDataset& rows,
-                                                   std::span<const PointId> ids,
-                                                   const Value* q_row, Dim d);
   void (*dominating_subspace_ex_batch)(const AlignedDataset& rows,
                                        std::span<const std::uint32_t> row_ids,
                                        const Value* pivot_row, Dim d,
@@ -84,9 +66,8 @@ struct KernelOps {
                                        std::uint8_t* out_worse);
 };
 
-/// Portable backend: the flag-accumulating loops the compiler
-/// auto-vectorizes — the pre-dispatch behavior of this layer, kept as
-/// the semantic reference and the fallback on every platform.
+/// Portable backend: the shared loops over plain-loop primitives the
+/// compiler auto-vectorizes, the fallback on every platform.
 extern const KernelOps kScalarOps;
 
 /// Explicit-intrinsics backends. Null when the translation unit was

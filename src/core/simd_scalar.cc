@@ -1,8 +1,9 @@
-// Portable backend of the batched dominance kernels: the
-// flag-accumulating loops the compiler auto-vectorizes. This is the
-// semantic reference every explicit-SIMD backend is differentially
-// tested against, and the fallback the dispatcher uses on CPUs without
-// AVX2.
+// Portable backend of the batched dominance kernels: the primitives of
+// src/core/simd_batch.h as plain loops the compiler auto-vectorizes,
+// under the same shared loops as the AVX2 and AVX-512 backends. It is
+// the fallback the dispatcher uses on CPUs without AVX2; the
+// differential tests check it, like every backend, against scalar
+// loops of their own.
 //
 // The quantized prefilter is implemented here too (as plain byte
 // loops), so the prefilter on/off ablation is meaningful on every ISA
@@ -10,12 +11,10 @@
 // needing vector hardware.
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
-#include "src/core/aligned_dataset.h"
 #include "src/core/kernels.h"
+#include "src/core/simd_batch.h"
 #include "src/core/simd_dispatch.h"
-#include "src/core/subspace.h"
 #include "src/core/types.h"
 
 namespace skyline {
@@ -24,81 +23,55 @@ namespace simd {
 
 namespace {
 
-/// True when summary row `s` is strictly above `q` in some dimension —
-/// by monotonicity that PROVES the exact row cannot dominate q. Reads
-/// the whole packed row (`qstride` bytes); the padding tail is neutral
-/// zero on both sides, so equal bytes never fire.
-bool QuantWorseSomewhere(const std::uint8_t* SKYLINE_RESTRICT s,
-                         const std::uint8_t* SKYLINE_RESTRICT q,
-                         std::size_t qstride) {
-  unsigned worse = 0;
-  for (std::size_t k = 0; k < qstride; ++k) {
-    worse |= static_cast<unsigned>(s[k] > q[k]);
-  }
-  return worse != 0;
-}
+/// The portable primitives of src/core/simd_batch.h.
+struct Scalar {
+  /// Rows per primitive call, as in the vector backends.
+  static constexpr unsigned kGroup = 4;
 
-BatchProbeResult DominatesAnyScalar(const AlignedDataset& rows,
-                                    std::span<const PointId> ids,
-                                    const std::uint8_t* qrows,
-                                    const Value* q_row,
-                                    const std::uint8_t* q_quant, Dim d) {
-  const std::size_t qstride = rows.qstride();
-  BatchProbeResult r;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    ++r.scanned;
-    // A prefilter reject still charges: the scalar reference loop
-    // would have scanned this member (and found it non-dominating).
-    if (q_quant != nullptr &&
-        QuantWorseSomewhere(qrows + i * qstride, q_quant, qstride)) {
-      continue;
+  /// Bit j set iff p[j] dominates q.
+  static unsigned Dominates(const Value* const* p, unsigned m,
+                            const Value* q, Dim d) {
+    unsigned out = 0;
+    for (unsigned j = 0; j < m; ++j) {
+      out |= static_cast<unsigned>(kernels::Dominates(p[j], q, d)) << j;
     }
-    if (Dominates(rows.row_unchecked(ids[i]), q_row, d)) {
-      r.first = i;
-      return r;
+    return out;
+  }
+
+  /// D_{rows[j]<p} bits plus the rows[j]-somewhere-worse flag.
+  static void Masks(const Value* p, const Value* const* rows, unsigned m,
+                    Dim d, std::uint64_t* out_bits, unsigned* out_worse) {
+    for (unsigned j = 0; j < m; ++j) {
+      bool worse = false;
+      out_bits[j] =
+          kernels::DominatingSubspaceEx(rows[j], p, d, &worse).bits();
+      out_worse[j] = worse ? 1u : 0u;
     }
   }
-  return r;
-}
 
-BatchSubspaceResult DominatingSubspaceBatchScalar(const AlignedDataset& rows,
-                                                  std::span<const PointId> ids,
-                                                  const Value* q_row, Dim d) {
-  BatchSubspaceResult r;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    ++r.scanned;
-    bool q_worse = false;
-    const Subspace m =
-        DominatingSubspaceEx(q_row, rows.row_unchecked(ids[i]), d, &q_worse);
-    if (m.empty() && q_worse) {
-      r.dominated_by = i;
-      return r;
+  /// Bit j set iff packed row j (of m contiguous rows) has no byte
+  /// above the probe row q. A byte above q PROVES, by monotonicity,
+  /// that the exact row cannot dominate; the padding tail is neutral
+  /// zero on both sides, so equal bytes never fire.
+  static std::uint64_t QuantMayDominate(const std::uint8_t* s, unsigned m,
+                                        const std::uint8_t* q,
+                                        std::size_t qstride) {
+    std::uint64_t out = 0;
+    for (unsigned j = 0; j < m; ++j) {
+      const std::uint8_t* row = s + j * qstride;
+      unsigned worse = 0;
+      for (std::size_t k = 0; k < qstride; ++k) {
+        worse |= static_cast<unsigned>(row[k] > q[k]);
+      }
+      out |= static_cast<std::uint64_t>(worse == 0) << j;
     }
-    r.mask |= m;
+    return out;
   }
-  return r;
-}
-
-void DominatingSubspaceExBatchScalar(const AlignedDataset& rows,
-                                     std::span<const std::uint32_t> row_ids,
-                                     const Value* pivot_row, Dim d,
-                                     Subspace* out_masks,
-                                     std::uint8_t* out_worse) {
-  for (std::size_t i = 0; i < row_ids.size(); ++i) {
-    bool worse = false;
-    out_masks[i] = DominatingSubspaceEx(rows.row_unchecked(row_ids[i]),
-                                        pivot_row, d, &worse);
-    out_worse[i] = worse ? 1 : 0;
-  }
-}
+};
 
 }  // namespace
 
-const KernelOps kScalarOps = {
-    &DominatesAnyScalar,
-    &DominatingSubspaceBatchScalar,
-    &DominatingSubspaceExBatchScalar,
-};
+const KernelOps kScalarOps = kBatchOps<Scalar>;
 
 }  // namespace simd
 }  // namespace kernels

@@ -449,6 +449,13 @@ std::vector<PointId> QueryService::Query(Subspace v,
             .count()));
     return ids;
   };
+  // Serves an entry found in the map, after the lock is released: a
+  // ready entry is a hit, an in-flight one coalesces onto its compute.
+  auto serve = [&](const EntryPtr& entry, bool was_ready) {
+    (was_ready ? hits_ : coalesced_).fetch_add(1, std::memory_order_relaxed);
+    if (epoch_out != nullptr) *epoch_out = entry->epoch;
+    return finish(AwaitAndCopy(entry));
+  };
 
   // Fast path: shared-lock lookup. A ready entry from an older epoch
   // reads as a miss — stale answers are never served from Query().
@@ -463,13 +470,7 @@ std::vector<PointId> QueryService::Query(Subspace v,
       const bool current = entry->epoch == version_->epoch;
       if (!was_ready || current) {
         lock.Unlock();
-        if (was_ready) {
-          hits_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          coalesced_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (epoch_out != nullptr) *epoch_out = entry->epoch;
-        return finish(AwaitAndCopy(entry));
+        return serve(entry, was_ready);
       }
     }
   }
@@ -491,13 +492,7 @@ std::vector<PointId> QueryService::Query(Subspace v,
       if (!was_ready || existing->epoch == version_->epoch) {
         // Another thread claimed it between our two lookups.
         lock.Unlock();
-        if (was_ready) {
-          hits_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          coalesced_.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (epoch_out != nullptr) *epoch_out = existing->epoch;
-        return finish(AwaitAndCopy(existing));
+        return serve(existing, was_ready);
       }
       // Stale ready entry: drop it from the accounting and replace it
       // in place (not counted as an eviction — the slot stays taken).

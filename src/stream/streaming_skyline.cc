@@ -1,7 +1,6 @@
 #include "src/stream/streaming_skyline.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "src/core/contracts.h"
 #include "src/core/dominance.h"
@@ -92,18 +91,12 @@ void StreamingSkyline::BuildReferenceSet() {
     rows.resize(options_.max_reference_points);
   }
   reference_.clear();
-  std::vector<PointId> src_rows;
-  src_rows.reserve(rows.size());
+  ref_values_.clear();
   for (std::size_t row : rows) {
     reference_.push_back(ext_ids_[row]);
-    src_rows.push_back(static_cast<PointId>(row));
+    const Value* values = data_.row(static_cast<PointId>(row));
+    ref_values_.insert(ref_values_.end(), values, values + d);
   }
-  // Snapshot the reference rows as an aligned block so every arrival
-  // filters through the batched mask-fold kernel (exact-only, so the
-  // lazy quantized plane is never built for this block).
-  ref_block_.Assign(data_, src_rows);
-  ref_rows_.resize(src_rows.size());
-  std::iota(ref_rows_.begin(), ref_rows_.end(), PointId{0});
 }
 
 void StreamingSkyline::RebuildIndex() {
@@ -118,37 +111,27 @@ void StreamingSkyline::RebuildIndex() {
 Subspace StreamingSkyline::ReferenceMask(const Value* row_values,
                                          bool* dominated_by_reference) {
   const Dim d = data_.num_dims();
-  if (dominated_by_reference != nullptr) {
-    // Reference filter: a reference is a previously inserted point, so
-    // if it dominates the arrival the arrival is off the skyline — no
-    // index query needed. (The reference itself may have been evicted
-    // since, but eviction only ever happens to dominated points, so by
-    // transitivity a live dominator exists.) This is what keeps a
-    // dominated-heavy adversarial stream at O(refs) per arrival instead
-    // of one degenerate whole-skyline retrieval each. The batch fold's
-    // elimination condition (empty D_{q<ref}, q worse somewhere) is
-    // exactly "ref dominates q", and the eliminator's own mask
-    // contribution is empty, so mask, exit point and charges match the
-    // historical per-reference loop — including the extra charge the
-    // loop's confirming Dominates call added on a hit.
-    const kernels::BatchSubspaceResult fold =
-        kernels::DominatingSubspaceBatch(ref_block_, ref_rows_, row_values, d);
-    stats_.dominance_tests += fold.scanned;
-    if (fold.dominated_by != kernels::kNoDominator) {
+  // One D_{q<ref} per reference, one charge each. With the filter on, a
+  // reference with empty D_{q<ref} that is strictly better somewhere
+  // dominates the arrival, which is then off the skyline without an
+  // index query: a reference is a previously inserted point, and if it
+  // has since been evicted, a live dominator exists by transitivity.
+  // This keeps a dominated-heavy stream at O(refs) per arrival. The
+  // scan stops there and charges one more test, the confirming
+  // Dominates call of the historical loop. An exact duplicate of the
+  // arrival adds no bits and the scan goes on.
+  Subspace mask;
+  for (std::size_t r = 0; r < reference_.size(); ++r) {
+    ++stats_.dominance_tests;
+    bool worse = false;
+    const Subspace m = kernels::DominatingSubspaceEx(
+        row_values, ref_values_.data() + r * d, d, &worse);
+    if (dominated_by_reference != nullptr && m.empty() && worse) {
       ++stats_.dominance_tests;
       *dominated_by_reference = true;
+      return mask;
     }
-    return fold.mask;
-  }
-  // Index-rebuild fold: every reference contributes its mask, no early
-  // exit, one charge per reference — the historical loop shape, kept
-  // scalar so the charge stays exact even if a caller ever folds a row
-  // a reference dominates.
-  Subspace mask;
-  for (std::size_t r = 0; r < ref_block_.num_rows(); ++r) {
-    mask |= kernels::DominatingSubspace(row_values, ref_block_.row_unchecked(r),
-                                        d);
-    ++stats_.dominance_tests;
+    mask |= m;
   }
   return mask;
 }

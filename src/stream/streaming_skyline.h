@@ -40,7 +40,6 @@
 #include <span>
 #include <vector>
 
-#include "src/core/aligned_dataset.h"
 #include "src/core/dataset.h"
 #include "src/core/stats.h"
 #include "src/core/subspace.h"
@@ -201,12 +200,9 @@ class StreamingSkyline {
 
   bool frozen_ = false;
   std::vector<PointId> reference_;  // external ids, for reporting
-  // Snapshot of the reference rows as an aligned block, so the arrival
-  // filter runs through the dispatched batched kernels. ref_rows_ is
-  // the identity id list 0..n-1 the batch calls scan (built once per
-  // freeze, reused by every insert).
-  AlignedDataset ref_block_;
-  std::vector<PointId> ref_rows_;
+  // Snapshot of the reference rows, d values each in reference order:
+  // they outlive the points themselves (eviction, compaction).
+  std::vector<Value> ref_values_;
   SubsetIndex index_;  // keyed by external id
   std::vector<PointId> scratch_;    // candidate buffer
 

@@ -11,6 +11,22 @@
 #include "src/core/scores.h"
 
 namespace skyline {
+namespace {
+
+/// The order of two rows whose scores tie exactly: lexicographic by
+/// value, then by id. A dominator is lexicographically smaller than
+/// every row it dominates, and a monotone score never rounds it above
+/// them, so a dominator comes first even when a one-ULP difference is
+/// lost in the score's rounding.
+bool TieBreaksBefore(const Value* a, PointId a_id, const Value* b,
+                     PointId b_id, Dim d) {
+  for (Dim k = 0; k < d; ++k) {
+    if (a[k] != b[k]) return a[k] < b[k];
+  }
+  return a_id < b_id;
+}
+
+}  // namespace
 
 MergeResult MergeSubspacesOver(const Dataset& data,
                                std::span<const PointId> ids, int sigma) {
@@ -36,8 +52,8 @@ MergeResult MergeSubspacesOver(const Dataset& data,
   // vectorized kernels over this block instead of chasing rows of the
   // source Dataset. The copies are bit-identical, so results and counts
   // match the scalar path exactly. No quantized plane: the per-pivot
-  // pass uses the exact-only mask-fold kernel, so the prefilter plane
-  // would never be read here.
+  // pass uses the exact-only fold kernel, so the prefilter plane would
+  // never be read here.
   const AlignedDataset block(data, ids);
 
   // Line 1: score each point by (squared) Euclidean distance to the
@@ -87,11 +103,19 @@ MergeResult MergeSubspacesOver(const Dataset& data,
     if (active.empty()) break;
 
     // Line 8: the active point with minimal score is a skyline point.
-    // Ties break toward the earliest entry, i.e. the caller's id order,
-    // keeping the pass deterministic for any partitioning.
+    // Exact score ties break by TieBreaksBefore, so the pick is the
+    // dominator of a tied pair and does not depend on the caller's id
+    // order.
     std::size_t best = 0;
     for (std::size_t i = 1; i < active.size(); ++i) {
-      if (active[i].score < active[best].score) best = i;
+      const Active& a = active[i];
+      const Active& b = active[best];
+      if (a.score < b.score ||
+          (a.score == b.score &&
+           TieBreaksBefore(block.row_unchecked(a.row), a.id,
+                           block.row_unchecked(b.row), b.id, d))) {
+        best = i;
+      }
     }
     const PointId pivot = active[best].id;
     const Value* pivot_row = block.row_unchecked(active[best].row);
@@ -213,10 +237,10 @@ void SortSurvivorsByScore(const Dataset& data, ScoreFunction f,
                           : ScorePoint(row, d, ScoreFunction::kSum);
     keys[i] = {ScorePoint(row, d, f), sum, id, merge->subspaces[i]};
   }
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+  std::sort(keys.begin(), keys.end(), [&](const Key& a, const Key& b) {
     if (a.score != b.score) return a.score < b.score;
     if (a.sum != b.sum) return a.sum < b.sum;
-    return a.id < b.id;
+    return TieBreaksBefore(data.row(a.id), a.id, data.row(b.id), b.id, d);
   });
   for (std::size_t i = 0; i < keys.size(); ++i) {
     merge->remaining[i] = keys[i].id;

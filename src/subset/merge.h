@@ -1,14 +1,16 @@
 // Subspace union — Algorithm 1 ("Merge") of the paper.
 //
 // Iteratively extracts pivot points (the remaining point with minimal
-// Euclidean distance to the origin, always a skyline point on
-// non-negative data), prunes everything a pivot dominates, and merges
-// each surviving point's dominating subspace D_{q<p} (Definition 3.4)
-// across pivots into its *maximum dominating subspace* D_{q<S}
-// (Definition 4.1). Iteration stops when the distribution of points over
-// subspace sizes is stable: the stability measure sigma' counts the
-// subspace-size bins whose population did not change in the last
-// iteration, and the pass ends once sigma' >= sigma.
+// Euclidean distance to the origin, an exact tie going to the
+// lexicographically smaller row, then the smaller id: always a skyline
+// point on non-negative data, even when a dominator and a row one ULP
+// worse round to the same distance), prunes everything a pivot
+// dominates, and merges each surviving point's dominating subspace
+// D_{q<p} (Definition 3.4) across pivots into its *maximum dominating
+// subspace* D_{q<S} (Definition 4.1). Iteration stops when the
+// distribution of points over subspace sizes is stable: the stability
+// measure sigma' counts the subspace-size bins whose population did not
+// change in the last iteration, and the pass ends once sigma' >= sigma.
 #ifndef SKYLINE_SUBSET_MERGE_H_
 #define SKYLINE_SUBSET_MERGE_H_
 
@@ -65,10 +67,11 @@ MergeResult MergeSubspacesOver(const Dataset& data,
                                std::span<const PointId> ids, int sigma);
 
 /// Reorders the survivors of `merge` (`remaining`, with `subspaces`
-/// alongside) ascending by (f, sum, id): the monotone order SFS-Subset
-/// scans them in, in which every dominator precedes the points it
-/// dominates. One helper, so the sequential and the parallel scans
-/// cannot drift apart.
+/// alongside) ascending by (f, sum), exact ties by the lexicographically
+/// smaller row, then the smaller id: the monotone order the boosted
+/// scans read them in, in which every dominator precedes the points it
+/// dominates even when their rounded scores and sums tie. One helper,
+/// so the sequential and the parallel scans cannot drift apart.
 void SortSurvivorsByScore(const Dataset& data, ScoreFunction f,
                           MergeResult* merge);
 

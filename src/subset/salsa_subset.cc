@@ -19,8 +19,10 @@ std::vector<PointId> SalsaSubset::Compute(const Dataset& data,
   const int sigma = EffectiveSigma(options_.sigma, d);
   MergeResult merge = MergeSubspaces(data, sigma);
 
-  // The index holds rows of the scan block: pivot k is row k, survivor
-  // i is row P + i.
+  // minC order with sum tie-break over the surviving points. The index
+  // holds rows of the scan block: pivot k is row k, survivor i is row
+  // P + i.
+  SortSurvivorsByScore(data, ScoreFunction::kMinCoordinate, &merge);
   const AlignedDataset rows = GatherScanRows(data, merge);
   const std::size_t num_pivots = merge.pivots.size();
   SubsetIndex index(d, &rows);
@@ -42,23 +44,14 @@ std::vector<PointId> SalsaSubset::Compute(const Dataset& data,
     stop_value = std::min(stop_value, max_coord_of(pv));
   }
 
-  // minC order with sum tie-break over the surviving points.
-  const std::vector<Value> mins =
-      ComputeScores(data, ScoreFunction::kMinCoordinate);
-  const std::vector<Value> sums = ComputeScores(data, ScoreFunction::kSum);
-  std::vector<std::size_t> order(merge.remaining.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const PointId pa = merge.remaining[a], pb = merge.remaining[b];
-    if (mins[pa] != mins[pb]) return mins[pa] < mins[pb];
-    if (sums[pa] != sums[pb]) return sums[pa] < sums[pb];
-    return pa < pb;
-  });
-
   SkylineStats local;
-  for (std::size_t i : order) {
+  for (std::size_t i = 0; i < merge.remaining.size(); ++i) {
     const PointId q = merge.remaining[i];
-    if (mins[q] > stop_value) break;  // every later point is dominated
+    // SaLSa's stop rule: every later point is dominated.
+    if (ScorePoint(data.row(q), d, ScoreFunction::kMinCoordinate) >
+        stop_value) {
+      break;
+    }
     const PointId row = static_cast<PointId>(num_pivots + i);
     const Subspace mask = merge.subspaces[i];
     // One node-by-node probe of the index (charges one test per member

@@ -189,44 +189,6 @@ TEST(KernelDifferentialTest, DominatesAnyMatchesScalarLoopAndCharge) {
   }
 }
 
-TEST(KernelDifferentialTest, DominatingSubspaceBatchMatchesScalarFold) {
-  std::mt19937_64 rng(777);
-  for (Dim d : {Dim{1}, Dim{4}, Dim{8}, Dim{24}}) {
-    const std::size_t n = 64;
-    const Dataset data = TieHeavyDataset(n, d, 5000 + d);
-    const AlignedDataset aligned(data);
-    for (int trial = 0; trial < 200; ++trial) {
-      std::vector<PointId> pivots(rng() % 12);
-      for (PointId& p : pivots) p = static_cast<PointId>(rng() % n);
-      const PointId q = static_cast<PointId>(rng() % n);
-
-      Subspace scalar_mask;
-      std::size_t scalar_dominated_by = kernels::kNoDominator;
-      std::uint64_t scalar_scanned = 0;
-      for (std::size_t i = 0; i < pivots.size(); ++i) {
-        ++scalar_scanned;
-        bool worse = false;
-        const Subspace m =
-            DominatingSubspaceEx(data.row(q), data.row(pivots[i]), d, &worse);
-        if (m.empty() && worse) {
-          scalar_dominated_by = i;
-          break;
-        }
-        scalar_mask |= m;
-      }
-
-      const kernels::BatchSubspaceResult r =
-          kernels::DominatingSubspaceBatch(aligned, pivots, aligned.row(q), d);
-      EXPECT_EQ(r.dominated_by, scalar_dominated_by)
-          << "d=" << d << " trial=" << trial;
-      EXPECT_EQ(r.scanned, scalar_scanned) << "d=" << d << " trial=" << trial;
-      if (r.dominated_by == kernels::kNoDominator) {
-        EXPECT_EQ(r.mask, scalar_mask) << "d=" << d << " trial=" << trial;
-      }
-    }
-  }
-}
-
 TEST(KernelDifferentialTest, DominatingSubspaceExBatchMatchesPairKernel) {
   for (Dim d : {Dim{1}, Dim{8}, Dim{64}}) {
     const std::size_t n = 48;
@@ -347,28 +309,7 @@ void ScalarDominatesAny(const Dataset& data,
   }
 }
 
-/// Scalar mask-fold reference for DominatingSubspaceBatch.
-void ScalarSubspaceFold(const Dataset& data,
-                        const std::vector<PointId>& pivots, PointId q, Dim d,
-                        Subspace* mask, std::size_t* dominated_by,
-                        std::uint64_t* scanned) {
-  *mask = Subspace{};
-  *dominated_by = kernels::kNoDominator;
-  *scanned = 0;
-  for (std::size_t i = 0; i < pivots.size(); ++i) {
-    ++*scanned;
-    bool worse = false;
-    const Subspace m =
-        DominatingSubspaceEx(data.row(q), data.row(pivots[i]), d, &worse);
-    if (m.empty() && worse) {
-      *dominated_by = i;
-      return;
-    }
-    *mask |= m;
-  }
-}
-
-/// Runs the full batched differential (all three batch kernels, random
+/// Runs the full batched differential (both batched kernels, random
 /// candidate lists with duplicates) for one backend and prefilter
 /// setting against one dataset.
 void CheckBackendAgainstScalar(const kernels::simd::KernelOps& ops,
@@ -396,21 +337,6 @@ void CheckBackendAgainstScalar(const kernels::simd::KernelOps& ops,
     EXPECT_EQ(probe.scanned, want_scanned)
         << isa << " prefilter=" << prefilter << " d=" << d
         << " trial=" << trial;
-
-    Subspace want_mask;
-    std::size_t want_dom;
-    ScalarSubspaceFold(data, candidates, q, d, &want_mask, &want_dom,
-                       &want_scanned);
-    const kernels::BatchSubspaceResult fold =
-        ops.dominating_subspace_batch(aligned, candidates, aligned.row(q), d);
-    EXPECT_EQ(fold.dominated_by, want_dom)
-        << isa << " d=" << d << " trial=" << trial;
-    EXPECT_EQ(fold.scanned, want_scanned)
-        << isa << " d=" << d << " trial=" << trial;
-    if (fold.dominated_by == kernels::kNoDominator) {
-      EXPECT_EQ(fold.mask, want_mask) << isa << " d=" << d
-                                      << " trial=" << trial;
-    }
   }
 
   // The one-vs-many Ex form (Merge inner loop) per backend, over row

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
 
+#include "src/core/dominance.h"
 #include "src/core/verify.h"
 #include "src/data/generator.h"
 
@@ -125,6 +127,69 @@ TEST(StreamingSkylineTest, ReferencePointsFrozenFromBootstrapSkyline) {
   for (PointId ref : stream.reference_points()) {
     EXPECT_LT(ref, 50u);
   }
+}
+
+// The reference filter's verdict and charge, insert by insert, against
+// a scalar loop over the reference rows: one test per reference scanned,
+// up to and including the first that dominates the arrival, plus one to
+// confirm it. An arrival no reference dominates pays every reference,
+// then one test per index candidate (each is accepted here, so neither
+// index loop stops early).
+TEST(StreamingSkylineTest, ReferenceFilterChargeMatchesScalarLoop) {
+  const Dim d = 3;
+  // Four incomparable points; by Euclidean score the references are
+  // rows 1, 3, 0, 2, in that order.
+  const std::vector<std::vector<Value>> points = {
+      {0.1, 0.5, 0.9},  {0.5, 0.1, 0.5},   {0.9, 0.6, 0.1},
+      {0.3, 0.3, 0.6},
+      {0.2, 0.6, 0.95},  // dominated by row 0 only: third reference
+      {0.3, 0.3, 0.6},   // exact duplicate of row 3: second reference
+      {0.6, 0.2, 0.6},   // dominated by row 1 only: first reference
+      {0.95, 0.7, 0.2},  // dominated by row 2 only: last reference
+      {0.05, 0.95, 0.95},  // no dominator
+  };
+  StreamingSkyline stream(d, {.bootstrap_size = 4, .max_reference_points = 4});
+  for (std::size_t i = 0; i < 4; ++i) ASSERT_TRUE(stream.Insert(points[i]));
+  ASSERT_EQ(stream.reference_points(), (std::vector<PointId>{1, 3, 0, 2}));
+
+  bool saw_duplicate = false;
+  bool saw_mid_list_dominator = false;
+  for (std::size_t i = 4; i < points.size(); ++i) {
+    const Value* arrival = points[i].data();
+    std::uint64_t scanned = 0;
+    bool reference_dominates = false;
+    for (PointId ref : stream.reference_points()) {
+      ++scanned;
+      const Value* ref_row = points[ref].data();
+      if (std::equal(ref_row, ref_row + d, arrival)) saw_duplicate = true;
+      if (Dominates(ref_row, arrival, d)) {
+        reference_dominates = true;
+        const std::size_t last = stream.reference_points().size();
+        if (scanned > 1 && scanned < last) saw_mid_list_dominator = true;
+        break;
+      }
+    }
+    bool dominated = false;
+    for (std::size_t j = 0; j < i; ++j) {
+      dominated = dominated || Dominates(points[j].data(), arrival, d);
+    }
+
+    const StreamingStats before = stream.stats();
+    EXPECT_EQ(stream.Insert(points[i]), !dominated) << "insert " << i;
+    const StreamingStats& after = stream.stats();
+    const std::uint64_t tests = after.dominance_tests - before.dominance_tests;
+    if (reference_dominates) {
+      EXPECT_EQ(tests, scanned + 1) << "insert " << i;
+      EXPECT_EQ(after.index_queries, before.index_queries) << "insert " << i;
+    } else {
+      ASSERT_FALSE(dominated) << "insert " << i;
+      EXPECT_EQ(tests, scanned + (after.index_candidates -
+                                  before.index_candidates))
+          << "insert " << i;
+    }
+  }
+  EXPECT_TRUE(saw_duplicate);
+  EXPECT_TRUE(saw_mid_list_dominator);
 }
 
 TEST(StreamingSkylineTest, StatsAccumulate) {
