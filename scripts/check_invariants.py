@@ -38,11 +38,11 @@ Rules, each scoped to src/:
   R6  In the mutable-dataset layers (src/query/, src/server/), every
       cache-entry read site — a call through the published_ids()
       accessor — must visibly deal with epochs: the surrounding lines
-      must mention `epoch` (comparing the entry's stamp, forwarding an
-      epoch_delta, ...), or the read must be waived with an
-      `// epoch-ok: <reason>` comment. Serving a cached answer without
-      consulting its epoch is exactly how a pre-update answer leaks
-      past ApplyUpdate.
+      must mention `epoch` (comparing the entry's stamp, reporting the
+      entry's epoch with its ids, ...), or the read must be waived with
+      an `// epoch-ok: <reason>` comment saying why the entry is
+      current. Serving a cached answer without knowing its epoch is
+      exactly how a pre-update answer leaks past ApplyUpdate.
 
   R7  SIMD intrinsics (immintrin.h and friends, __m128/__m256/__m512
       vector types, __mmask*, _mm*_* calls) are confined to the

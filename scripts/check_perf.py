@@ -12,7 +12,11 @@ Records are joined on (bench, scenario, algorithm). Two checks per pair:
     regenerated baseline, and failing this prints the full
     expected-vs-found record listing).
     Improvements beyond the tolerance are reported as a reminder to
-    refresh the baseline, but do not fail.
+    refresh the baseline, but do not fail. A few records carry a
+    higher-is-better value in dt_per_point instead of a test count
+    (HIGHER_IS_BETTER: speedup ratios and hit percentages); they are
+    gated in their own direction, so a fall beyond the tolerance fails
+    and a rise is the note.
   * rt_ms — wall time. Shared CI runners are noisy, so RT is ADVISORY
     only: regressions beyond --rt-tolerance (default 75%) are printed
     as warnings and never fail the gate.
@@ -40,6 +44,15 @@ import os
 import sys
 
 BASELINE_DIR = "bench/baselines"
+
+# Records whose dt_per_point holds a value where higher is better (a
+# ratio or a percentage), keyed by the record's algorithm field.
+HIGHER_IS_BETTER = {
+    "query-speedup",
+    "query-hit-pct",
+    "query-mixed-hit-pct",
+    "server-dt-speedup",
+}
 
 
 def discover_pairs(baseline_dir, current_dir):
@@ -114,12 +127,16 @@ def check_pair(current_path, baseline_path, dt_tol, rt_tol):
                 break
         else:
             base_dt, cur_dt = base["dt_per_point"], cur["dt_per_point"]
-            if base_dt > 0 and cur_dt > base_dt * (1 + dt_tol):
+            rose = base_dt > 0 and cur_dt > base_dt * (1 + dt_tol)
+            fell = base_dt > 0 and cur_dt < base_dt * (1 - dt_tol)
+            worse, better = ((fell, rose) if key[2] in HIGHER_IS_BETTER
+                             else (rose, fell))
+            if worse:
                 print(f"[FAIL] {label}: dt_per_point {base_dt:.2f} -> "
-                      f"{cur_dt:.2f} (+{(cur_dt / base_dt - 1) * 100:.1f}% "
-                      f"> {dt_tol * 100:.0f}%)")
+                      f"{cur_dt:.2f} ({(cur_dt / base_dt - 1) * 100:+.1f}%, "
+                      f"beyond {dt_tol * 100:.0f}% in the worse direction)")
                 failures += 1
-            elif base_dt > 0 and cur_dt < base_dt * (1 - dt_tol):
+            elif better:
                 print(f"[note] {label}: dt_per_point improved {base_dt:.2f} "
                       f"-> {cur_dt:.2f}; consider refreshing the baseline")
 
@@ -243,6 +260,26 @@ def self_test():
         f, _ = check_pair(os.path.join(cur_dir, "BENCH_reg.json"),
                           os.path.join(base_dir, "BENCH_reg.json"), 0.6, 0.75)
         expect("dt regression within tolerance passes", f, False)
+
+        # A higher-is-better record is gated the other way round: a fall
+        # beyond tolerance fails, a rise beyond it is only a note.
+        write_report(os.path.join(base_dir, "BENCH_hib.json"),
+                     [record(algorithm="query-hit-pct", dt=80.0)])
+        write_report(os.path.join(cur_dir, "BENCH_hib.json"),
+                     [record(algorithm="query-hit-pct", dt=50.0)])
+        f, _ = check_pair(os.path.join(cur_dir, "BENCH_hib.json"),
+                          os.path.join(base_dir, "BENCH_hib.json"), 0.3, 0.75)
+        expect("higher-is-better fall beyond tolerance fails", f, True)
+        write_report(os.path.join(cur_dir, "BENCH_hib.json"),
+                     [record(algorithm="query-hit-pct", dt=120.0)])
+        f, _ = check_pair(os.path.join(cur_dir, "BENCH_hib.json"),
+                          os.path.join(base_dir, "BENCH_hib.json"), 0.3, 0.75)
+        expect("higher-is-better rise beyond tolerance passes", f, False)
+        write_report(os.path.join(cur_dir, "BENCH_hib.json"),
+                     [record(algorithm="query-hit-pct", dt=70.0)])
+        f, _ = check_pair(os.path.join(cur_dir, "BENCH_hib.json"),
+                          os.path.join(base_dir, "BENCH_hib.json"), 0.3, 0.75)
+        expect("higher-is-better fall within tolerance passes", f, False)
 
         # A changed skyline size fails (correctness, not perf).
         write_report(os.path.join(cur_dir, "BENCH_sky.json"),

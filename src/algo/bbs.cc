@@ -4,6 +4,7 @@
 
 #include "src/algo/rtree.h"
 #include "src/core/dominance.h"
+#include "src/core/scores.h"
 
 namespace skyline {
 
@@ -14,14 +15,6 @@ struct Entry {
   // Exactly one of the two is set.
   const RTree::Node* node;
   PointId point;
-
-  bool operator>(const Entry& other) const {
-    if (mindist != other.mindist) return mindist > other.mindist;
-    // Nodes before points on ties: a node can still contain a dominator
-    // of an equal-mindist point only through strictly smaller sums, but
-    // expanding first is the conservative order.
-    return node == nullptr && other.node != nullptr;
-  }
 };
 
 Value SumOf(const Value* v, Dim d) {
@@ -51,7 +44,19 @@ std::vector<PointId> Bbs::Compute(const Dataset& data,
     return false;
   };
 
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
+  // Pops ascending mindist. On a tie, nodes come before points: a node
+  // may hold an equal-sum dominator of a queued point. Points that tie
+  // pop in TieBreaksBefore order, so a dominator whose one-ULP edge the
+  // sum rounded away still comes first.
+  const auto pops_after = [&](const Entry& a, const Entry& b) {
+    if (a.mindist != b.mindist) return a.mindist > b.mindist;
+    if ((a.node == nullptr) != (b.node == nullptr)) return a.node == nullptr;
+    if (a.node != nullptr) return false;
+    return TieBreaksBefore(data.row(b.point), b.point, data.row(a.point),
+                           a.point, d);
+  };
+  std::priority_queue<Entry, std::vector<Entry>, decltype(pops_after)> heap(
+      pops_after);
   heap.push({SumOf(tree.root()->mbr.lo.data(), d), tree.root(),
              kInvalidPoint});
   while (!heap.empty()) {

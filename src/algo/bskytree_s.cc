@@ -51,15 +51,17 @@ std::vector<PointId> BSkyTreeS::Compute(const Dataset& data,
         {p, mask, ScorePoint(row, d, ScoreFunction::kSum)});
   }
 
-  // Sort by (lattice level, sum, id): q < p implies B(q) ⊆ B(p), hence a
-  // smaller level, or the same mask with a strictly smaller sum — so
-  // dominators always precede the points they dominate.
+  // Sort by (lattice level, sum), exact ties by TieBreaksBefore: q < p
+  // implies B(q) ⊆ B(p), hence a smaller level, or the same mask with a
+  // smaller-or-equal sum — so dominators always precede the points they
+  // dominate.
   std::sort(survivors.begin(), survivors.end(),
-            [](const Entry& a, const Entry& b) {
+            [&](const Entry& a, const Entry& b) {
               const Dim la = a.mask.size(), lb = b.mask.size();
               if (la != lb) return la < lb;
               if (a.sum != b.sum) return a.sum < b.sum;
-              return a.id < b.id;
+              return TieBreaksBefore(data.row(a.id), a.id, data.row(b.id),
+                                     b.id, d);
             });
 
   // SFS-like scan, skipping tests between subset-incomparable regions.

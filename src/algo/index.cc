@@ -26,9 +26,15 @@ std::vector<PointId> IndexSkyline::Compute(const Dataset& data,
   if (n == 0) return {};
 
   // Build phase: file each point under its minimum dimension, lists
-  // sorted ascending by (value, sum, id). The (minC, sum) order is
-  // monotone under dominance: a dominator has a smaller-or-equal minC
-  // and a strictly smaller sum.
+  // sorted ascending by (value, sum), exact ties by TieBreaksBefore. The
+  // order is monotone under dominance: a dominator has a
+  // smaller-or-equal minC and sum, and comes first on a tie of both.
+  // The scan's pick among the list heads uses the same order.
+  const auto precedes = [&](const ListEntry& a, const ListEntry& b) {
+    if (a.min_value != b.min_value) return a.min_value < b.min_value;
+    if (a.sum != b.sum) return a.sum < b.sum;
+    return TieBreaksBefore(data.row(a.id), a.id, data.row(b.id), b.id, d);
+  };
   std::vector<std::vector<ListEntry>> lists(d);
   for (PointId p = 0; p < n; ++p) {
     const Value* row = data.row(p);
@@ -44,16 +50,7 @@ std::vector<PointId> IndexSkyline::Compute(const Dataset& data,
     }
     lists[min_dim].push_back({min_value, sum, p});
   }
-  for (auto& list : lists) {
-    std::sort(list.begin(), list.end(),
-              [](const ListEntry& a, const ListEntry& b) {
-                if (a.min_value != b.min_value) {
-                  return a.min_value < b.min_value;
-                }
-                if (a.sum != b.sum) return a.sum < b.sum;
-                return a.id < b.id;
-              });
-  }
+  for (auto& list : lists) std::sort(list.begin(), list.end(), precedes);
 
   // Scan phase: pop the globally smallest head; stop when every
   // remaining point's minimum coordinate exceeds the smallest maximum
@@ -70,12 +67,7 @@ std::vector<PointId> IndexSkyline::Compute(const Dataset& data,
         best = i;
         continue;
       }
-      const ListEntry& a = lists[i][cursor[i]];
-      const ListEntry& b = lists[best][cursor[best]];
-      if (a.min_value < b.min_value ||
-          (a.min_value == b.min_value && a.sum < b.sum)) {
-        best = i;
-      }
+      if (precedes(lists[i][cursor[i]], lists[best][cursor[best]])) best = i;
     }
     if (best == d) break;  // all lists exhausted
     const ListEntry entry = lists[best][cursor[best]++];

@@ -59,14 +59,15 @@ std::vector<PointId> Less::Compute(const Dataset& data,
     if (!filter.DropsOrAbsorb(tester, p)) survivors.push_back(p);
   }
 
-  // Sort survivors by (score, sum, id), then the usual SFS scan.
+  // Sort survivors by (score, sum), exact ties by TieBreaksBefore, then
+  // the usual SFS scan.
   std::vector<Value> sums = (options_.sort == ScoreFunction::kSum)
                                 ? std::vector<Value>{}
                                 : ComputeScores(data, ScoreFunction::kSum);
   std::sort(survivors.begin(), survivors.end(), [&](PointId a, PointId b) {
     if (scores[a] != scores[b]) return scores[a] < scores[b];
     if (!sums.empty() && sums[a] != sums[b]) return sums[a] < sums[b];
-    return a < b;
+    return TieBreaksBefore(data.row(a), a, data.row(b), b, data.num_dims());
   });
 
   std::vector<PointId> result;

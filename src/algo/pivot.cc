@@ -3,6 +3,8 @@
 
 #include <limits>
 
+#include "src/core/scores.h"
+
 namespace skyline {
 
 PointId SelectBalancedPivot(const Dataset& data,
@@ -26,9 +28,10 @@ PointId SelectBalancedPivot(const Dataset& data,
     inv_range[i] = range > 0 ? Value{1} / range : Value{0};
   }
 
-  // Minimizing the normalized sum is strictly monotone under dominance
-  // (any strictly-better coordinate lies in a non-constant dimension), so
-  // the argmin is a skyline point of the region.
+  // Minimizing the normalized sum is monotone under dominance (any
+  // strictly-better coordinate lies in a non-constant dimension), and an
+  // exact tie goes to TieBreaksBefore's pick, so the argmin is a skyline
+  // point of the region even when rounding hides a one-ULP edge.
   PointId best = ids.front();
   Value best_score = std::numeric_limits<Value>::infinity();
   for (PointId p : ids) {
@@ -37,7 +40,9 @@ PointId SelectBalancedPivot(const Dataset& data,
     for (Dim i = 0; i < d; ++i) {
       score += (row[i] - lo[i]) * inv_range[i];
     }
-    if (score < best_score || (score == best_score && p < best)) {
+    if (score < best_score ||
+        (score == best_score &&
+         TieBreaksBefore(row, p, data.row(best), best, d))) {
       best = p;
       best_score = score;
     }

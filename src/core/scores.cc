@@ -74,7 +74,7 @@ std::vector<PointId> SortedByScore(const Dataset& data, ScoreFunction f) {
     if (!secondary.empty() && secondary[a] != secondary[b]) {
       return secondary[a] < secondary[b];
     }
-    return a < b;
+    return TieBreaksBefore(data.row(a), a, data.row(b), b, data.num_dims());
   });
   return order;
 }
@@ -89,7 +89,10 @@ PointId ArgMinScore(const Dataset& data, ScoreFunction f) {
     Value p = ScorePoint(data.row(id), data.num_dims(), f);
     if (p > best_primary) continue;
     Value s = ScorePoint(data.row(id), data.num_dims(), ScoreFunction::kSum);
-    if (p < best_primary || s < best_secondary) {
+    if (p < best_primary || s < best_secondary ||
+        (s == best_secondary && TieBreaksBefore(data.row(id), id,
+                                                data.row(best), best,
+                                                data.num_dims()))) {
       best = id;
       best_primary = p;
       best_secondary = s;

@@ -42,15 +42,32 @@ Value ScorePoint(const Value* p, Dim d, ScoreFunction f);
 /// Scores of all points, indexed by PointId.
 std::vector<Value> ComputeScores(const Dataset& data, ScoreFunction f);
 
-/// All point ids sorted ascending by (f, sum, id).
+/// The order of two rows whose presort keys tie exactly: lexicographic
+/// by value, then by id. A dominator is lexicographically smaller than
+/// every row it dominates, and a monotone key never rounds it above
+/// them, so a dominator comes first even when a one-ULP difference is
+/// lost in the key's rounding. Every presorting engine ends its exact
+/// key ties with it.
+inline bool TieBreaksBefore(const Value* a, PointId a_id, const Value* b,
+                            PointId b_id, Dim d) {
+  for (Dim k = 0; k < d; ++k) {
+    if (a[k] != b[k]) return a[k] < b[k];
+  }
+  return a_id < b_id;
+}
+
+/// All point ids sorted ascending by (f, sum), exact ties ended by
+/// TieBreaksBefore.
 ///
-/// The (f, sum) lexicographic order guarantees that a dominator always
-/// precedes the points it dominates, even for the weakly monotone
-/// kMinCoordinate: if p < q then sum(p) < sum(q) breaks any f-tie.
+/// The (f, sum) lexicographic order puts a dominator before the points
+/// it dominates, even for the weakly monotone kMinCoordinate: if p < q
+/// then sum(p) <= sum(q), and the rounded sums tie only when the rows'
+/// difference is lost in rounding, where TieBreaksBefore decides.
 std::vector<PointId> SortedByScore(const Dataset& data, ScoreFunction f);
 
-/// Id of the point minimizing (f, sum, id); kInvalidPoint on empty data.
-/// For strictly monotone f, this point is always a skyline point.
+/// Id of the point minimizing (f, sum), exact ties ended by
+/// TieBreaksBefore; kInvalidPoint on empty data. For monotone f, this
+/// point is always a skyline point.
 PointId ArgMinScore(const Dataset& data, ScoreFunction f);
 
 }  // namespace skyline

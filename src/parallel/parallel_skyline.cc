@@ -19,7 +19,7 @@ std::vector<PointId> LocalSkyline(const Dataset& data,
   const Dim d = data.num_dims();
   std::sort(ids.begin(), ids.end(), [&](PointId a, PointId b) {
     if (scores[a] != scores[b]) return scores[a] < scores[b];
-    return a < b;
+    return TieBreaksBefore(data.row(a), a, data.row(b), b, d);
   });
   std::vector<PointId> result;
   std::uint64_t local_tests = 0;

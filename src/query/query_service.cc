@@ -140,35 +140,27 @@ std::vector<PointId> QueryService::AwaitAndCopy(const EntryPtr& entry) {
 }
 
 QueryService::EntryPtr QueryService::FindBestAncestor(
-    Subspace v, bool allow_stale, Subspace* ancestor_subspace,
-    std::uint64_t* epoch_delta) const {
-  // epoch-ok: stale entries are eligible only with allow_stale — a stale
-  // cached answer is not a sound seed (points inserted since it was
-  // computed would be missing from the candidate set) — and the ranking
-  // puts the freshest first. Subspace bits end every tie, so the pick
-  // never depends on the map's iteration order.
-  const std::uint64_t current = version_->epoch;
-  using Rank = std::tuple<std::uint64_t, bool, std::size_t, Dim, std::uint64_t>;
+    Subspace v, Subspace* ancestor_subspace) const {
+  // Subspace bits end every tie, so the pick never depends on the map's
+  // iteration order.
+  using Rank = std::tuple<bool, std::size_t, Dim, std::uint64_t>;
   EntryPtr best;
   Rank best_rank;
   for (const auto& [bits, entry] : cache_) {
     const Subspace u(bits);
     if (!v.IsSubsetOf(u)) continue;
     if (!entry->ready.load(std::memory_order_acquire)) continue;
-    const std::uint64_t delta = current - entry->epoch;
-    if (delta != 0 && !allow_stale) continue;
-    const Rank rank{delta, u != v, entry->published_ids().size(), u.size(),
-                    bits};
+    // epoch-ok: every ready entry is at the current epoch (ApplyUpdate
+    // repairs them all), so any one is a sound seed.
+    const Rank rank{u != v, entry->published_ids().size(), u.size(), bits};
     if (best == nullptr || rank < best_rank) {
       best = entry;
       best_rank = rank;
     }
   }
-  if (best == nullptr) return nullptr;
-  if (ancestor_subspace != nullptr) {
-    *ancestor_subspace = Subspace(std::get<4>(best_rank));
+  if (best != nullptr && ancestor_subspace != nullptr) {
+    *ancestor_subspace = Subspace(std::get<3>(best_rank));
   }
-  if (epoch_delta != nullptr) *epoch_delta = std::get<0>(best_rank);
   return best;
 }
 
@@ -221,60 +213,105 @@ std::vector<PointId> QueryService::ComputeSeededCore(
                        candidates, tests);
 }
 
-bool QueryService::TryRepair(const DatasetVersion& next, Subspace v,
-                             PointId first_inserted,
-                             std::span<const PointId> removes,
-                             std::vector<PointId>* ids,
-                             std::uint64_t* tests) {
-  // Remove rule: a removed member invalidates the answer (points it
-  // alone dominated may surface); a removed non-member is harmless —
-  // it was strictly V-dominated by a member (ties are members by the
-  // closure property), and removing a dominated point never changes a
-  // skyline. `*ids` is ascending, so membership is a binary search.
-  for (PointId r : removes) {
-    if (std::binary_search(ids->begin(), ids->end(), r)) return false;
+std::vector<PointId> QueryService::ComputeSeeded(
+    const DatasetVersion& version, Subspace v,
+    const std::vector<PointId>& candidates, std::uint64_t* tests,
+    bool* tie_scanned) const {
+  std::vector<PointId> core = ComputeSeededCore(version, v, candidates, tests);
+  // A distinct dimension in V leaves every core member tied only with
+  // itself, so the tie repair would return the core: skip its scan of
+  // every row.
+  const bool scan = (v & version.distinct_dims()).empty();
+  if (tie_scanned != nullptr) *tie_scanned = scan;
+  if (!scan) {
+    std::sort(core.begin(), core.end());
+    return core;
   }
+  return version.has_removed
+             ? CloseUnderProjectionTies(version.data, v, core, version.live)
+             : CloseUnderProjectionTies(version.data, v, core);
+}
+
+std::vector<PointId> QueryService::Repair(const DatasetVersion& next,
+                                          Subspace v, PointId first_inserted,
+                                          const std::vector<PointId>* pinned,
+                                          std::vector<PointId> ids,
+                                          std::uint64_t* tests) const {
   // Insert rule: an inserted point p strictly V-dominated by some
   // member changes nothing (dominance is transitive, so a member
   // witness exists whenever any dominator exists); otherwise p joins
   // the answer and evicts exactly the members it V-dominates. A tie on
   // V with a member also joins (nothing can dominate p without
   // dominating that member). Inserted ids exceed every prior id, so
-  // appending keeps `*ids` sorted; later inserts of the same batch are
+  // appending keeps `ids` sorted; later inserts of the same batch are
   // correctly checked against earlier ones.
   std::uint64_t local_tests = 0;
+  const auto dominates = [&](PointId a, PointId b) {
+    ++local_tests;
+    return DominatesInSubspace(next.data.row(a), next.data.row(b), v);
+  };
   for (PointId p = first_inserted; p < next.data.num_points(); ++p) {
-    const Value* row = next.data.row(p);
     bool dominated = false;
     std::size_t keep = 0;
-    for (std::size_t i = 0; i < ids->size(); ++i) {
-      const PointId s = (*ids)[i];
-      ++local_tests;
-      if (DominatesInSubspace(next.data.row(s), row, v)) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const PointId s = ids[i];
+      if (dominates(s, p)) {
         dominated = true;
-        for (std::size_t j = i; j < ids->size(); ++j) {
-          (*ids)[keep++] = (*ids)[j];
-        }
+        for (std::size_t j = i; j < ids.size(); ++j) ids[keep++] = ids[j];
         break;
       }
-      if (DominatesInSubspace(row, next.data.row(s), v)) continue;
-      (*ids)[keep++] = s;
+      if (dominates(p, s)) continue;
+      ids[keep++] = s;
     }
-    ids->resize(keep);
-    if (!dominated) ids->push_back(p);
+    ids.resize(keep);
+    if (!dominated) ids.push_back(p);
+  }
+
+  // Remove rule: a removed non-member was strictly V-dominated by a
+  // member (ties are members by the closure property), so it shielded
+  // nothing. Removed members M may uncover C: the live rows outside the
+  // answer that a member of M V-dominates and no kept member does. The
+  // new answer is the kept members plus the seeded skyline of C.
+  std::vector<PointId> removed;
+  for (PointId s : ids) {
+    if (!next.IsLive(s)) removed.push_back(s);
+  }
+  if (!removed.empty()) {
+    std::erase_if(ids, [&](PointId s) { return !next.IsLive(s); });
+    std::vector<PointId> candidates;
+    std::size_t member = 0;  // walks the kept `ids` beside the scan
+    const auto consider = [&](PointId x) {
+      while (member < ids.size() && ids[member] < x) ++member;
+      if (member < ids.size() && ids[member] == x) return;
+      if (!next.IsLive(x)) return;  // removed members among them
+      if (std::none_of(removed.begin(), removed.end(),
+                       [&](PointId m) { return dominates(m, x); })) {
+        return;
+      }
+      if (std::any_of(ids.begin(), ids.end(),
+                      [&](PointId s) { return dominates(s, x); })) {
+        return;
+      }
+      candidates.push_back(x);
+    };
+    if (pinned != nullptr) {
+      for (PointId x : *pinned) consider(x);
+    } else {
+      for (PointId x = 0; x < next.data.num_points(); ++x) consider(x);
+    }
+    if (!candidates.empty()) {
+      // Drawn from every live row, C holds each row tied with a member
+      // of its skyline, so the tie closure would add nothing there.
+      const std::vector<PointId> surfaced =
+          pinned != nullptr
+              ? ComputeSeeded(next, v, candidates, &local_tests, nullptr)
+              : ComputeSeededCore(next, v, candidates, &local_tests);
+      ids.insert(ids.end(), surfaced.begin(), surfaced.end());
+      std::sort(ids.begin(), ids.end());
+    }
   }
   if (tests != nullptr) *tests += local_tests;
-  return true;
-}
-
-QueryService::EntryPtr QueryService::MakeReadyEntry(bool pinned,
-                                                    std::uint64_t entry_epoch,
-                                                    std::uint64_t last_used,
-                                                    std::vector<PointId> ids) {
-  auto entry = std::make_shared<Entry>(pinned, entry_epoch);
-  entry->last_used.store(last_used, std::memory_order_relaxed);
-  entry->Publish(std::move(ids));
-  return entry;
+  return ids;
 }
 
 std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
@@ -316,11 +353,36 @@ std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
     version_ = next;
     new_epoch = next->epoch;
 
-    // Sweep the cache: repair what the two rules allow, detach what is
-    // still computing, leave the rest behind as stale.
+    // Sweep the cache: detach what is still computing and repair every
+    // ready entry to the new epoch, the pinned full space first, so the
+    // others draw their removal candidates from its repaired answer.
+    // Published id lists are immutable, so a repair installs a
+    // replacement entry re-stamped with the new epoch.
+    std::size_t unpinned_ids = 0;
+    const auto repair = [&](EntryPtr& entry, Subspace v,
+                            const std::vector<PointId>* pinned) {
+      // epoch-ok: the entry is at the old epoch, the one Repair starts
+      // from.
+      std::vector<PointId> ids = Repair(*next, v, first_inserted, pinned,
+                                        entry->published_ids(), &tests);
+      if (!entry->pinned) unpinned_ids += ids.size();
+      auto fresh = std::make_shared<Entry>(entry->pinned, next->epoch);
+      fresh->last_used.store(entry->last_used.load(std::memory_order_relaxed),
+                             std::memory_order_relaxed);
+      fresh->Publish(std::move(ids));
+      entry = std::move(fresh);
+      repaired_.fetch_add(1, std::memory_order_relaxed);
+    };
+    const Subspace full = Subspace::Full(d);
+    const std::vector<PointId>* pinned = nullptr;
+    if (options_.pin_full_space) {
+      EntryPtr& entry = cache_.at(full.bits());
+      repair(entry, full, nullptr);
+      // epoch-ok: repaired to the new epoch just above.
+      pinned = &entry->published_ids();
+    }
     for (auto it = cache_.begin(); it != cache_.end();) {
-      const EntryPtr entry = it->second;
-      if (!entry->ready.load(std::memory_order_acquire)) {
+      if (!it->second->ready.load(std::memory_order_acquire)) {
         // In-flight computation over the old version: unlink it so its
         // result is never cached under the new epoch. The computing
         // thread still publishes to its waiters and detects the
@@ -329,37 +391,15 @@ std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
         it = cache_.erase(it);
         continue;
       }
-      if (entry->epoch != old->epoch) {
-        ++it;  // Already stale from an earlier epoch; nothing new to learn.
-        continue;
-      }
-      const Subspace v(it->first);
-      const std::size_t old_size = entry->published_ids().size();
-      std::vector<PointId> ids = entry->published_ids();
-      if (TryRepair(*next, v, first_inserted, removes, &ids, &tests)) {
-        // Published id lists are immutable, so a repair installs a
-        // replacement entry re-stamped with the new epoch.
-        if (!entry->pinned) cached_ids_ = cached_ids_ - old_size + ids.size();
-        it->second = MakeReadyEntry(
-            entry->pinned, next->epoch,
-            entry->last_used.load(std::memory_order_relaxed), std::move(ids));
-        repaired_.fetch_add(1, std::memory_order_relaxed);
-      } else if (entry->pinned) {
-        // The pinned full-space seed lost a member: recompute it
-        // eagerly (under the lock) so every future miss still has a
-        // universal current-epoch seed.
-        it->second = MakeReadyEntry(
-            /*pinned=*/true, next->epoch,
-            clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-            ComputeCold(*next, v, &tests));
-        pinned_recomputes_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        // Unrepairable: left in the map stamped with the old epoch.
-        // Query() treats it as a miss and replaces it; the Peek probes
-        // only surface it to callers that opted into staleness.
-        invalidated_.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (!it->second->pinned) repair(it->second, Subspace(it->first), pinned);
       ++it;
+    }
+    cached_ids_ = unpinned_ids;
+    if constexpr (kSkylineDeepChecks) {
+      for (const auto& [bits, entry] : cache_) {
+        SKYLINE_DCHECK(entry->epoch == next->epoch,
+                       "ApplyUpdate: a cached cuboid missed the repair");
+      }
     }
   }
   updates_.fetch_add(1, std::memory_order_relaxed);
@@ -457,26 +497,21 @@ std::vector<PointId> QueryService::Query(Subspace v,
     return finish(AwaitAndCopy(entry));
   };
 
-  // Fast path: shared-lock lookup. A ready entry from an older epoch
-  // reads as a miss — stale answers are never served from Query().
+  // Fast path: shared-lock lookup. Every entry in the map is current:
+  // an update repairs each ready one and detaches each in-flight one.
   {
     ReaderLock lock(cache_mu_);
     auto it = cache_.find(v.bits());
     if (it != cache_.end()) {
       EntryPtr entry = it->second;
       const bool was_ready = entry->ready.load(std::memory_order_acquire);
-      // epoch-ok: in-flight entries are always current (an update would
-      // have detached them from the map); ready ones must match.
-      const bool current = entry->epoch == version_->epoch;
-      if (!was_ready || current) {
-        lock.Unlock();
-        return serve(entry, was_ready);
-      }
+      lock.Unlock();
+      return serve(entry, was_ready);
     }
   }
 
-  // Miss (or stale hit): claim the cuboid (single-flight) and pick a
-  // seed, all under one exclusive-lock critical section.
+  // Miss: claim the cuboid (single-flight) and pick a seed, all under
+  // one exclusive-lock critical section.
   EntryPtr entry;
   EntryPtr ancestor;
   Subspace ancestor_subspace;
@@ -485,28 +520,16 @@ std::vector<PointId> QueryService::Query(Subspace v,
     WriterLock lock(cache_mu_);
     auto it = cache_.find(v.bits());
     if (it != cache_.end()) {
+      // Another thread claimed it between our two lookups.
       EntryPtr existing = it->second;
       const bool was_ready = existing->ready.load(std::memory_order_acquire);
-      // epoch-ok: same rule as the fast path — wait on in-flight or
-      // current entries, replace stale ready ones below.
-      if (!was_ready || existing->epoch == version_->epoch) {
-        // Another thread claimed it between our two lookups.
-        lock.Unlock();
-        return serve(existing, was_ready);
-      }
-      // Stale ready entry: drop it from the accounting and replace it
-      // in place (not counted as an eviction — the slot stays taken).
-      cached_ids_ -= existing->published_ids().size();
-      snap = version_;
-      entry = std::make_shared<Entry>(/*pinned_entry=*/false, snap->epoch);
-      it->second = entry;
-    } else {
-      snap = version_;
-      entry = std::make_shared<Entry>(/*pinned_entry=*/false, snap->epoch);
-      cache_.emplace(v.bits(), entry);
+      lock.Unlock();
+      return serve(existing, was_ready);
     }
-    ancestor = FindBestAncestor(v, /*allow_stale=*/false, &ancestor_subspace,
-                                /*epoch_delta=*/nullptr);
+    snap = version_;
+    entry = std::make_shared<Entry>(/*pinned_entry=*/false, snap->epoch);
+    cache_.emplace(v.bits(), entry);
+    ancestor = FindBestAncestor(v, &ancestor_subspace);
   }
 
   std::vector<PointId> ids;
@@ -514,22 +537,13 @@ std::vector<PointId> QueryService::Query(Subspace v,
   if (ancestor != nullptr && ancestor_subspace != v) {
     // Top-down sharing from the ancestor cuboid: V-skyline of the
     // ancestor's ids, then the duplicate-projection tie repair (live
-    // rows only once the version carries tombstones). A distinct
-    // dimension in V leaves every core member tied only with itself, so
-    // the repair would return the core: skip its scan of every row.
-    // epoch-ok: FindBestAncestor only returns current-epoch entries, so
-    // the seed matches `snap` (both captured under the same lock).
-    std::vector<PointId> core =
-        ComputeSeededCore(*snap, v, ancestor->published_ids(), &tests);
-    if ((v & snap->distinct_dims()).empty()) {
-      ids = snap->has_removed
-                ? CloseUnderProjectionTies(snap->data, v, core, snap->live)
-                : CloseUnderProjectionTies(snap->data, v, core);
-      tie_scans_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      std::sort(core.begin(), core.end());
-      ids = std::move(core);
-    }
+    // rows only once the version carries tombstones).
+    // epoch-ok: the ancestor is at `snap`'s epoch (both captured under
+    // the same lock, and every cached entry is current).
+    bool tie_scanned = false;
+    ids = ComputeSeeded(*snap, v, ancestor->published_ids(), &tests,
+                        &tie_scanned);
+    if (tie_scanned) tie_scans_.fetch_add(1, std::memory_order_relaxed);
     seeded_.fetch_add(1, std::memory_order_relaxed);
     seeded_tests_.fetch_add(tests, std::memory_order_relaxed);
   } else {
@@ -553,11 +567,10 @@ bool QueryService::PeekExact(Subspace v, std::vector<PointId>* ids,
   if (it == cache_.end()) return false;
   const EntryPtr& entry = it->second;
   if (!entry->ready.load(std::memory_order_acquire)) return false;
-  // epoch-ok: only a current-epoch entry is returned — a pre-update
-  // answer is never served.
-  if (entry->epoch != version_->epoch) return false;
   entry->last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
                          std::memory_order_relaxed);
+  // epoch-ok: a ready entry in the map is at the current epoch, which
+  // the caller receives with it.
   if (ids != nullptr) *ids = entry->published_ids();
   if (epoch_out != nullptr) *epoch_out = entry->epoch;
   return true;
@@ -570,12 +583,11 @@ bool QueryService::PeekNearestAncestor(Subspace v, Subspace* ancestor,
       "PeekNearestAncestor: empty subspace or one outside the dataset's "
       "space");
   ReaderLock lock(cache_mu_);
-  const EntryPtr best = FindBestAncestor(v, /*allow_stale=*/false, ancestor,
-                                         /*epoch_delta=*/nullptr);
+  const EntryPtr best = FindBestAncestor(v, ancestor);
   if (best == nullptr) return false;
   best->last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
                         std::memory_order_relaxed);
-  // epoch-ok: FindBestAncestor only returns current-epoch entries here.
+  // epoch-ok: every ready entry in the map is at the current epoch.
   if (ids != nullptr) *ids = best->published_ids();
   return true;
 }
@@ -586,29 +598,24 @@ bool QueryService::PeekStale(Subspace v, StaleAnswer* answer) {
       "PeekStale: empty subspace or one outside the dataset's space");
   EntryPtr best;
   Subspace ancestor;
-  std::uint64_t delta = 0;
   DatasetVersionPtr snap;
   {
     ReaderLock lock(cache_mu_);
-    best = FindBestAncestor(v, /*allow_stale=*/true, &ancestor, &delta);
+    best = FindBestAncestor(v, &ancestor);
     if (best == nullptr) return false;
     best->last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
                           std::memory_order_relaxed);
     snap = version_;
   }
-  // epoch-ok: the entry's epoch and its delta travel with the answer, so
-  // a pre-update answer is never returned silently.
+  // epoch-ok: the entry is at `snap`'s epoch (both read under one lock),
+  // which travels with the answer.
   answer->epoch = best->epoch;
-  answer->epoch_delta = delta;
   answer->tests = 0;
-  answer->exact = ancestor == v && delta == 0;
+  answer->exact = ancestor == v;
   if (answer->exact) {
     answer->ids = best->published_ids();
     return true;
   }
-  // Rows never change across epochs (removal only tombstones), so the
-  // current version's rows serve a stale seed too: the core is a subset
-  // of the exact answer at the seed's epoch.
   answer->ids =
       ComputeSeededCore(*snap, v, best->published_ids(), &answer->tests);
   std::sort(answer->ids.begin(), answer->ids.end());
@@ -640,9 +647,7 @@ QueryStatsSnapshot QueryService::Stats() const {
   snap.insert_points = insert_points_.load(std::memory_order_relaxed);
   snap.remove_points = remove_points_.load(std::memory_order_relaxed);
   snap.repaired = repaired_.load(std::memory_order_relaxed);
-  snap.invalidated = invalidated_.load(std::memory_order_relaxed);
   snap.aborted_inflight = aborted_inflight_.load(std::memory_order_relaxed);
-  snap.pinned_recomputes = pinned_recomputes_.load(std::memory_order_relaxed);
   snap.update_tests = update_tests_.load(std::memory_order_relaxed);
   {
     ReaderLock lock(cache_mu_);
@@ -651,9 +656,8 @@ QueryStatsSnapshot QueryService::Stats() const {
     for (const auto& [bits, entry] : cache_) {
       if (!entry->ready.load(std::memory_order_acquire)) continue;
       ++snap.cache_entries;
+      // epoch-ok: counting, not serving.
       snap.cache_ids += entry->published_ids().size();
-      // epoch-ok: counting, not serving — the gauge reports staleness.
-      if (entry->epoch != version_->epoch) ++snap.stale_entries;
     }
   }
   snap.latency = latency_.Snap();

@@ -25,28 +25,28 @@
 //     projected dataset.
 //
 // Mutation (epochs): ApplyUpdate(inserts, removes) installs a new
-// immutable DatasetVersion (copy-on-write snapshot) and bumps the
-// epoch. Every cached cuboid entry is stamped with the epoch it was
-// computed in; an update either cheaply REPAIRS a ready entry to the
-// new epoch or leaves it behind as STALE (docs/query_service.md proves
-// both rules):
+// immutable DatasetVersion (copy-on-write snapshot), bumps the epoch and
+// repairs every ready cached cuboid to it, so the cache never holds an
+// answer of an older epoch (docs/query_service.md proves the rule). For
+// a cuboid V with cached answer S (closed under V-ties):
 //
 //   * Insert rule — an inserted point p that is V-dominated by some
-//     member of the cached answer sky(V) changes nothing; otherwise p
-//     joins sky(V) and evicts exactly the members it V-dominates. Both
-//     cases are an O(|sky(V)|) repair, no recompute.
-//   * Remove rule — a removed point absent from the cached answer
-//     leaves it valid; a removed member invalidates the entry (points
-//     it alone dominated may surface).
+//     member of S changes nothing; otherwise p joins S and evicts
+//     exactly the members it V-dominates.
+//   * Remove rule — with M the removed members of S, the answer becomes
+//     (S \ M) ∪ seeded(C), where C holds the live rows outside S that
+//     some member of M V-dominates and no other member does, and
+//     seeded() is a seeded miss's own kernels and tie rule. C is drawn
+//     from the already-repaired pinned full-space answer when there is
+//     one (and V is not the full space), else from every live row.
 //
-// Stale entries never answer Query() (they read as misses and are
-// replaced), never seed misses, and are only visible through PeekStale,
-// which returns the epoch delta with the answer — the bounded-staleness
-// read behind SkylineServer's kServeStale policy.
 // In-flight computations that an update overtakes are detached from
 // the cache: their waiters still get the pre-update answer (tagged with
 // the entry's epoch) but the result is never cached under the new
-// epoch.
+// epoch. PeekStale, the degraded read behind SkylineServer's
+// kServeStale policy, returns the core of sky(V) over the nearest
+// cached ancestor without the tie repair: a subset of the exact answer
+// at the current epoch.
 //
 // Concurrency: lookups take a shared lock; per-cuboid single-flight
 // means concurrent identical misses compute once (latecomers block on
@@ -63,8 +63,8 @@
 // Eviction: bounded by entry count and (optionally) total cached ids;
 // least-recently-used ready entries are dropped first. The full-space
 // cuboid can be pinned (default) so every miss has a universal seed;
-// the pinned entry is kept current across updates (repaired, or
-// recomputed inside ApplyUpdate when one of its members is removed).
+// the pinned entry is repaired first on every update, and the other
+// entries' removal repairs draw their candidates from it.
 #ifndef SKYLINE_QUERY_QUERY_SERVICE_H_
 #define SKYLINE_QUERY_QUERY_SERVICE_H_
 
@@ -122,7 +122,7 @@ struct QueryServiceOptions {
 /// point ids are stable across versions: an insert appends rows, a
 /// remove only tombstones (live[id] = false). Any id valid at epoch e
 /// therefore still names the same row values in every epoch >= e — the
-/// property that lets a stale cached answer be re-projected against the
+/// property that lets an update repair a cached answer against the
 /// newest version's rows.
 struct DatasetVersion {
   Dataset data;            ///< All rows ever inserted (removed included).
@@ -172,17 +172,18 @@ struct QueryStatsSnapshot {
   std::uint64_t updates = 0;        ///< ApplyUpdate calls that changed data.
   std::uint64_t insert_points = 0;  ///< Rows inserted across all updates.
   std::uint64_t remove_points = 0;  ///< Rows tombstoned across all updates.
-  std::uint64_t repaired = 0;       ///< Entries cheaply re-stamped current.
-  std::uint64_t invalidated = 0;    ///< Ready entries left behind as stale.
+  std::uint64_t repaired = 0;       ///< Entries repaired to a new epoch.
   std::uint64_t aborted_inflight = 0;  ///< In-flight computes detached.
-  std::uint64_t pinned_recomputes = 0;  ///< Pinned full-space recomputes.
-  std::uint64_t update_tests = 0;  ///< Dominance tests in repairs + pinned
-                                   ///< recomputes.
+  std::uint64_t update_tests = 0;   ///< Dominance tests in repairs.
+  /// Always 0: every update repairs every ready entry, so none is left
+  /// stale and the pinned entry is never recomputed. Kept for readers
+  /// of these two counters (perfbench's result line and replay).
+  std::uint64_t invalidated = 0;
+  std::uint64_t pinned_recomputes = 0;
 
   std::uint64_t epoch = 0;         ///< Current dataset epoch.
   std::size_t live_points = 0;     ///< Live rows in the current version.
   std::size_t cache_entries = 0;   ///< Ready cuboids currently cached.
-  std::size_t stale_entries = 0;   ///< Of those, stamped with an old epoch.
   std::size_t cache_ids = 0;       ///< Ids currently cached (incl. pinned).
   LatencyHistogram::Snapshot latency;  ///< Per-Query() wall latency.
   LatencyHistogram::Snapshot update_latency;  ///< Per-ApplyUpdate() wall.
@@ -198,16 +199,15 @@ struct QueryStatsSnapshot {
   }
 };
 
-/// A bounded-staleness answer (QueryService::PeekStale).
+/// A degraded answer (QueryService::PeekStale).
 struct StaleAnswer {
   std::vector<PointId> ids;  ///< Ascending.
-  /// True when `ids` is the cached current-epoch cuboid itself; false
-  /// for a core over an ancestor, a sorted subset of the exact answer
-  /// at `epoch` (only duplicate-projection ties may be missing).
+  /// True when `ids` is the cached cuboid itself; false for a core over
+  /// an ancestor, a sorted subset of the exact answer at `epoch` (only
+  /// duplicate-projection ties may be missing).
   bool exact = false;
-  std::uint64_t epoch = 0;        ///< Epoch of the cache entry read.
-  std::uint64_t epoch_delta = 0;  ///< Current epoch − `epoch`.
-  std::uint64_t tests = 0;        ///< Dominance tests spent on the core.
+  std::uint64_t epoch = 0;  ///< Epoch of the cache entry read.
+  std::uint64_t tests = 0;  ///< Dominance tests spent on the core.
 };
 
 /// Thread-safe memoizing subspace-skyline server over one Dataset. The
@@ -241,12 +241,12 @@ class QueryService {
   /// existing live points (each id must be live, predate this batch and
   /// appear once). A batch that breaks these rules, or holds a partial
   /// row, is a contract violation in every build type (CanApplyUpdate
-  /// runs the same checks without aborting). Bumps the epoch, repairs or
-  /// invalidates cached cuboids (see the header comment), and keeps the
-  /// pinned full-space seed current. Returns the new epoch (the
-  /// unchanged one for an empty batch, which is a no-op). Serializes
-  /// against claims/publications via the cache lock; safe to call
-  /// concurrently with Query.
+  /// runs the same checks without aborting). Bumps the epoch, detaches
+  /// in-flight computes and repairs every ready cached cuboid to the new
+  /// epoch, the pinned full-space seed first (see the header comment).
+  /// Returns the new epoch (the unchanged one for an empty batch, which
+  /// is a no-op). Serializes against claims/publications via the cache
+  /// lock; safe to call concurrently with Query.
   std::uint64_t ApplyUpdate(std::span<const Value> inserts,
                             std::span<const PointId> removes)
       SKYLINE_EXCLUDES(cache_mu_);
@@ -262,19 +262,17 @@ class QueryService {
   /// Copies the current counters; safe to call concurrently.
   QueryStatsSnapshot Stats() const SKYLINE_EXCLUDES(cache_mu_);
 
-  /// Non-blocking exact lookup: if the cuboid `v` is cached, ready and
-  /// stamped with the CURRENT epoch, copies its ids into `*ids` (when
-  /// non-null) and that epoch into `*epoch_out` (when non-null), touches
-  /// the LRU stamp, and returns true. A pre-update answer is never
-  /// returned; stale reads go through PeekStale. Never computes and
-  /// never waits on an in-flight entry. Counted neither as a hit nor as
-  /// a query.
+  /// Non-blocking exact lookup: if the cuboid `v` is cached and ready,
+  /// copies its ids into `*ids` (when non-null) and its epoch, the
+  /// current one, into `*epoch_out` (when non-null), touches the LRU
+  /// stamp, and returns true. Never computes and never waits on an
+  /// in-flight entry. Counted neither as a hit nor as a query.
   bool PeekExact(Subspace v, std::vector<PointId>* ids,
                  std::uint64_t* epoch_out = nullptr)
       SKYLINE_EXCLUDES(cache_mu_);
 
-  /// Non-blocking nearest-ancestor lookup: if any ready current-epoch
-  /// cuboid U ⊇ `v` is cached (the exact cuboid first, then the fewest
+  /// Non-blocking nearest-ancestor lookup: if any ready cuboid U ⊇ `v`
+  /// is cached (the exact cuboid first, then the fewest
   /// ids, the fewest dimensions and the lowest subspace bits), copies
   /// its subspace/ids into the non-null out-params, touches the LRU
   /// stamp, and returns true. This is the ancestor a Query miss of `v`
@@ -284,11 +282,10 @@ class QueryService {
                            std::vector<PointId>* ids)
       SKYLINE_EXCLUDES(cache_mu_);
 
-  /// Non-blocking bounded-staleness read of `v`. When `v` is cached at
-  /// the current epoch, returns that entry (`exact`). Otherwise it picks
-  /// the nearest cached ancestor U ⊇ `v` with stale entries eligible
-  /// (the smallest epoch delta first, then PeekNearestAncestor's order)
-  /// and returns the core of sky(v) over sky(U), computed with a seeded
+  /// Non-blocking degraded read of `v`. When `v` is cached, returns that
+  /// entry (`exact`). Otherwise it picks the ancestor U ⊇ `v` that
+  /// PeekNearestAncestor would and returns the core of sky(v) over
+  /// sky(U), computed with a seeded
   /// miss's kernel choice (ComputeSeededCore) but without the tie
   /// repair, so it reads no row outside sky(U). Touches the picked
   /// entry's LRU stamp; never caches, never waits, and counts neither
@@ -349,14 +346,11 @@ class QueryService {
   std::vector<PointId> AwaitAndCopy(const EntryPtr& entry);
 
   /// The best ready cached cuboid U ⊇ `v`, or nullptr. Candidates are
-  /// ranked by (epoch delta, U ≠ v, id count, dimension count, subspace
-  /// bits), so the pick is a function of the cache contents alone. Stale
-  /// entries are eligible only with `allow_stale`. Writes U and its
-  /// epoch delta to the non-null out-params. The one ranking behind
-  /// Query's seed, PeekNearestAncestor and PeekStale.
-  EntryPtr FindBestAncestor(Subspace v, bool allow_stale,
-                            Subspace* ancestor_subspace,
-                            std::uint64_t* epoch_delta) const
+  /// ranked by (U ≠ v, id count, dimension count, subspace bits), so the
+  /// pick is a function of the cache contents alone. Writes U to the
+  /// non-null out-param. The one ranking behind Query's seed,
+  /// PeekNearestAncestor and PeekStale.
+  EntryPtr FindBestAncestor(Subspace v, Subspace* ancestor_subspace) const
       SKYLINE_REQUIRES_SHARED(cache_mu_);
 
   /// Computes sky(v) over the live rows of `version` from scratch with
@@ -375,23 +369,28 @@ class QueryService {
                                          const std::vector<PointId>& candidates,
                                          std::uint64_t* tests) const;
 
-  /// Attempts the cheap epoch repair of a cached answer `ids` for
-  /// cuboid `v` against an update that appended the id range
-  /// [first_inserted, next->data.num_points()) and tombstoned
-  /// `removes`. On success returns true and leaves the repaired answer
-  /// in `*ids` (ascending); on failure (a removed id was a member)
-  /// returns false with `*ids` unspecified. Dominance tests are added
-  /// to `*tests`.
-  static bool TryRepair(const DatasetVersion& next, Subspace v,
-                        PointId first_inserted,
-                        std::span<const PointId> removes,
-                        std::vector<PointId>* ids, std::uint64_t* tests);
+  /// The seeded miss's rule: ComputeSeededCore over `candidates`, then
+  /// the tie closure over the live rows of `version`, which is skipped
+  /// when `v` holds one of its distinct_dims(). Ids ascending. Sets
+  /// `*tie_scanned` (when non-null) to whether the closure ran.
+  std::vector<PointId> ComputeSeeded(const DatasetVersion& version, Subspace v,
+                                     const std::vector<PointId>& candidates,
+                                     std::uint64_t* tests,
+                                     bool* tie_scanned) const;
 
-  /// Builds an Entry that is already published, for repair
-  /// replacements and eager pinned recomputes.
-  static EntryPtr MakeReadyEntry(bool pinned, std::uint64_t entry_epoch,
-                                 std::uint64_t last_used,
-                                 std::vector<PointId> ids);
+  /// Repairs `ids`, the answer of cuboid `v` one epoch before `next`
+  /// (ascending, closed under v-ties), to `next`: the update appended the
+  /// ids from `first_inserted` on, and the members `next` no longer
+  /// holds live are the ones it removed. `pinned`, when non-null, is the
+  /// full-space answer already repaired to `next`; the removal
+  /// candidates are drawn from it instead of from every live row.
+  /// Returns the answer at `next`, ascending; adds the dominance tests
+  /// spent to `*tests`.
+  std::vector<PointId> Repair(const DatasetVersion& next, Subspace v,
+                              PointId first_inserted,
+                              const std::vector<PointId>* pinned,
+                              std::vector<PointId> ids,
+                              std::uint64_t* tests) const;
 
   /// Publishes `ids` into `entry`, accounts the size, and evicts LRU
   /// entries until the configured bounds hold again. If an update
@@ -415,8 +414,7 @@ class QueryService {
       SKYLINE_GUARDED_BY(cache_mu_);
   /// The current dataset snapshot; replaced wholesale by ApplyUpdate.
   DatasetVersionPtr version_ SKYLINE_GUARDED_BY(cache_mu_);
-  /// Ids over ready unpinned entries (stale ones included until they
-  /// are replaced or evicted).
+  /// Ids over ready unpinned entries.
   std::size_t cached_ids_ SKYLINE_GUARDED_BY(cache_mu_) = 0;
   /// Ready pinned entries.
   std::size_t pinned_entries_ SKYLINE_GUARDED_BY(cache_mu_) = 0;
@@ -436,9 +434,7 @@ class QueryService {
   std::atomic<std::uint64_t> insert_points_{0};
   std::atomic<std::uint64_t> remove_points_{0};
   std::atomic<std::uint64_t> repaired_{0};
-  std::atomic<std::uint64_t> invalidated_{0};
   std::atomic<std::uint64_t> aborted_inflight_{0};
-  std::atomic<std::uint64_t> pinned_recomputes_{0};
   std::atomic<std::uint64_t> update_tests_{0};
   LatencyHistogram latency_;  // unguarded: internally lock-free atomics
   LatencyHistogram update_latency_;  // unguarded: internally lock-free atomics

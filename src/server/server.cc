@@ -56,7 +56,6 @@ ServerResponse ResponseHandle::Wait() const {
   out.status = state_->status;
   out.ids = state_->ids;
   out.epoch = state_->epoch;
-  out.epoch_delta = state_->epoch_delta;
   out.resolved_at = state_->resolved_at;
   return out;
 }
@@ -71,7 +70,6 @@ bool ResponseHandle::TryGet(ServerResponse* out) const {
     out->status = state_->status;
     out->ids = state_->ids;
     out->epoch = state_->epoch;
-    out->epoch_delta = state_->epoch_delta;
     out->resolved_at = state_->resolved_at;
   }
   return true;
@@ -79,7 +77,7 @@ bool ResponseHandle::TryGet(ServerResponse* out) const {
 
 void SkylineServer::Resolve(internal::ServerResultState& state,
                             StatusCode status, std::vector<PointId> ids,
-                            std::uint64_t epoch, std::uint64_t epoch_delta) {
+                            std::uint64_t epoch) {
   {
     MutexLock lock(state.mu);
     if (state.done) return;
@@ -90,20 +88,10 @@ void SkylineServer::Resolve(internal::ServerResultState& state,
     // Stats() identities hold with no settle window.
     outcomes_[static_cast<std::size_t>(status)].fetch_add(
         1, std::memory_order_relaxed);
-    if (status == StatusCode::kStale && epoch_delta > 0) {
-      stale_epoch_served_.fetch_add(1, std::memory_order_relaxed);
-      std::uint64_t prev =
-          stale_epoch_delta_max_.load(std::memory_order_relaxed);
-      while (epoch_delta > prev &&
-             !stale_epoch_delta_max_.compare_exchange_weak(
-                 prev, epoch_delta, std::memory_order_relaxed)) {
-      }
-    }
     state.done = true;
     state.status = status;
     state.ids = std::move(ids);
     state.epoch = epoch;
-    state.epoch_delta = epoch_delta;
     state.resolved_at = std::chrono::steady_clock::now();
   }
   state.cv.NotifyAll();
@@ -157,12 +145,12 @@ ResponseHandle SkylineServer::Submit(Subspace v,
   if (options_.inline_fast_hits) {
     std::vector<PointId> ids;
     std::uint64_t epoch = 0;
-    // epoch-ok: PeekExact only surfaces current-epoch entries — an
-    // inline fast hit is never pre-update.
+    // PeekExact reads only current-epoch entries: an update repairs
+    // every cached cuboid, so an inline fast hit is never pre-update.
     if (service_.PeekExact(v, &ids, &epoch)) {
       fast_hits_.fetch_add(1, std::memory_order_relaxed);
       admission_resolved_.fetch_add(1, std::memory_order_relaxed);
-      Resolve(*state, StatusCode::kOk, std::move(ids), epoch, 0);
+      Resolve(*state, StatusCode::kOk, std::move(ids), epoch);
       return handle;
     }
   }
@@ -236,8 +224,7 @@ ResponseHandle SkylineServer::Submit(Subspace v,
     if (status == StatusCode::kOk) {
       fast_hits_.fetch_add(1, std::memory_order_relaxed);
     }
-    Resolve(*state, status, std::move(answer.ids), answer.epoch,
-            answer.epoch_delta);
+    Resolve(*state, status, std::move(answer.ids), answer.epoch);
   }
   return handle;
 }
@@ -352,7 +339,7 @@ void SkylineServer::WorkerLoop() {
         const std::uint64_t epoch =
             service_.ApplyUpdate(update.inserts, update.removes);
         updates_applied_.fetch_add(1, std::memory_order_relaxed);
-        Resolve(*update.state, StatusCode::kOk, {}, epoch, 0);
+        Resolve(*update.state, StatusCode::kOk, {}, epoch);
       } else {
         Resolve(*update.state, StatusCode::kInvalidArgument, {});
       }
@@ -466,7 +453,7 @@ std::vector<SkylineServer::CuboidGroup> SkylineServer::PrepareBatch(
       for (std::size_t i = 0; i < expired.size(); ++i) {
         Resolve(*expired[i].state, status,
                 i + 1 == expired.size() ? std::move(answer.ids) : answer.ids,
-                answer.epoch, answer.epoch_delta);
+                answer.epoch);
       }
     }
     g.waiters = std::move(live);
@@ -518,7 +505,7 @@ void SkylineServer::ComputeGroup(const CuboidGroup& group) {
       deadline_misses_.fetch_add(1, std::memory_order_relaxed);
     }
     Resolve(*p.state, StatusCode::kOk,
-            i + 1 == group.waiters.size() ? std::move(ids) : ids, epoch, 0);
+            i + 1 == group.waiters.size() ? std::move(ids) : ids, epoch);
   }
 }
 
@@ -545,10 +532,6 @@ ServerStatsSnapshot SkylineServer::Stats() const {
   snap.union_seeds = union_seeds_.load(std::memory_order_relaxed);
   snap.updates_submitted = updates_submitted_.load(std::memory_order_relaxed);
   snap.updates_applied = updates_applied_.load(std::memory_order_relaxed);
-  snap.stale_epoch_served =
-      stale_epoch_served_.load(std::memory_order_relaxed);
-  snap.stale_epoch_delta_max =
-      stale_epoch_delta_max_.load(std::memory_order_relaxed);
   auto outcome = [this](StatusCode status) {
     return outcomes_[static_cast<std::size_t>(status)].load(
         std::memory_order_relaxed);

@@ -43,9 +43,9 @@
 //     batches: no query batch gathered before the update dispatches
 //     after it, workers drain in-flight batches before applying it, and
 //     no batch starts while it applies. Every response carries the
-//     epoch its answer reflects; with kServeStale, a pre-update cached
-//     answer is surfaced as kStale *tagged with its epoch delta*
-//     (current epoch − answer epoch) — never silently.
+//     epoch its answer reflects. The service repairs every cached cuboid
+//     to the new epoch inside the update, so no answer, kStale ones
+//     included, ever comes from an older epoch's cache entry.
 //
 // The server only admits, batches and maps outcomes onto statuses:
 // every row read and every kernel choice happens inside QueryService.
@@ -54,8 +54,7 @@
 // the response's `epoch` and ascending; kStale answers are a sorted
 // SUBSET of the exact answer at the response's `epoch` (every returned
 // id is truly in that skyline — only duplicate-projection ties may be
-// missing), with `epoch_delta` telling how many updates that epoch
-// lags; every other status carries no ids.
+// missing); every other status carries no ids.
 //
 // See docs/server.md for the admission/batching/degradation state
 // machine and its invariants; src/server/client.h adds the
@@ -166,10 +165,6 @@ struct ServerResponse {
   /// Dataset epoch the answer reflects (kOk/kStale; for a SubmitUpdate
   /// handle, the epoch the update installed). 0 otherwise.
   std::uint64_t epoch = 0;
-  /// How many updates `epoch` lags the epoch that was current when the
-  /// answer was produced. 0 for every kOk answer; > 0 only on kStale
-  /// answers served from a pre-update cache entry.
-  std::uint64_t epoch_delta = 0;
   /// When the server resolved the request (steady clock) — lets callers
   /// compute true request latency without measuring their own Wait()
   /// wakeup delay.
@@ -191,7 +186,6 @@ struct ServerResultState {
   StatusCode status SKYLINE_GUARDED_BY(mu) = StatusCode::kShutdown;
   std::vector<PointId> ids SKYLINE_GUARDED_BY(mu);
   std::uint64_t epoch SKYLINE_GUARDED_BY(mu) = 0;
-  std::uint64_t epoch_delta SKYLINE_GUARDED_BY(mu) = 0;
   std::chrono::steady_clock::time_point resolved_at SKYLINE_GUARDED_BY(mu);
 };
 
@@ -258,9 +252,6 @@ struct ServerStatsSnapshot {
   // ---- Mutation counters ----
   std::uint64_t updates_submitted = 0;  ///< SubmitUpdate() calls.
   std::uint64_t updates_applied = 0;    ///< Updates the batcher applied.
-  std::uint64_t stale_epoch_served = 0;  ///< kStale with epoch_delta > 0 —
-                                         ///< pre-update answers, tagged.
-  std::uint64_t stale_epoch_delta_max = 0;  ///< Largest delta ever served.
 
   // ---- Terminal outcomes: one counter per StatusCode ----
   // Each counts its status at the resolve transition itself, exactly
@@ -382,12 +373,11 @@ class SkylineServer {
   };
 
   /// Resolves `state` exactly once (later calls are no-ops) and — only
-  /// on the actual transition — counts the outcome of `status` and the
-  /// stale-epoch tallies: the one place an outcome is counted, so the
-  /// accounting identity in ServerStatsSnapshot holds by construction.
+  /// on the actual transition — counts the outcome of `status`: the one
+  /// place an outcome is counted, so the accounting identity in
+  /// ServerStatsSnapshot holds by construction.
   void Resolve(internal::ServerResultState& state, StatusCode status,
-               std::vector<PointId> ids, std::uint64_t epoch = 0,
-               std::uint64_t epoch_delta = 0);
+               std::vector<PointId> ids, std::uint64_t epoch = 0);
 
   void WorkerLoop() SKYLINE_EXCLUDES(mu_);
 
@@ -410,7 +400,7 @@ class SkylineServer {
   void ComputeGroup(const CuboidGroup& group) SKYLINE_EXCLUDES(mu_);
 
   /// Maps QueryService::PeekStale onto a status: kOk for the exact
-  /// current-epoch cuboid, kStale for a core over an ancestor, and
+  /// cached cuboid, kStale for a core over an ancestor, and
   /// `fallback` (with `*answer` left empty) when nothing ⊇ v is cached.
   StatusCode TryStaleAnswer(Subspace v, StatusCode fallback,
                             StaleAnswer* answer);
@@ -451,8 +441,6 @@ class SkylineServer {
   std::atomic<std::uint64_t> union_seeds_{0};
   std::atomic<std::uint64_t> updates_submitted_{0};
   std::atomic<std::uint64_t> updates_applied_{0};
-  std::atomic<std::uint64_t> stale_epoch_served_{0};
-  std::atomic<std::uint64_t> stale_epoch_delta_max_{0};
   /// Resolved handles per StatusCode (its value is the index); written
   /// by Resolve only.
   std::array<std::atomic<std::uint64_t>,

@@ -11,22 +11,6 @@
 #include "src/core/scores.h"
 
 namespace skyline {
-namespace {
-
-/// The order of two rows whose scores tie exactly: lexicographic by
-/// value, then by id. A dominator is lexicographically smaller than
-/// every row it dominates, and a monotone score never rounds it above
-/// them, so a dominator comes first even when a one-ULP difference is
-/// lost in the score's rounding.
-bool TieBreaksBefore(const Value* a, PointId a_id, const Value* b,
-                     PointId b_id, Dim d) {
-  for (Dim k = 0; k < d; ++k) {
-    if (a[k] != b[k]) return a[k] < b[k];
-  }
-  return a_id < b_id;
-}
-
-}  // namespace
 
 MergeResult MergeSubspacesOver(const Dataset& data,
                                std::span<const PointId> ids, int sigma) {

@@ -1,15 +1,17 @@
-// Unit tests of QueryService::ApplyUpdate: epoch bumping, the
-// insert/remove repair rules, invalidation, the pinned full-space
-// seed's eager maintenance, the stale-entry reads (PeekExact refuses
-// them, PeekStale serves them), and the
-// epoch edge cases of ISSUE 9 (update overtaking an in-flight compute,
-// removal of a pinned seed member, empty batches).
+// Unit tests of QueryService::ApplyUpdate: epoch bumping, the insert
+// and remove repair rules on pinned and unpinned services (removal
+// candidates drawn from the pinned answer or from every live row, the
+// tie rule, duplicates, a batch that inserts and removes), the reads
+// after an update (PeekExact, PeekNearestAncestor, PeekStale), and the
+// epoch edge cases (an update overtaking an in-flight compute, empty
+// batches).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -21,20 +23,20 @@
 namespace skyline {
 namespace {
 
-// Recompute-from-scratch oracle over a version's live rows: densify,
-// run the reference SubspaceSkyline, map row indices back to stable
-// point ids.
+// Brute-force oracle: the live rows of `version` that no other live row
+// V-dominates, every pair tested. Ids ascending.
 std::vector<PointId> OracleSkyline(const DatasetVersion& version, Subspace v) {
-  std::vector<PointId> live_ids;
-  Dataset dense(version.data.num_dims());
-  for (PointId id = 0; id < version.data.num_points(); ++id) {
-    if (!version.IsLive(id)) continue;
-    live_ids.push_back(id);
-    dense.Append(version.data.point(id));
-  }
+  const Dataset& data = version.data;
   std::vector<PointId> out;
-  for (PointId p : SubspaceSkyline(dense, v)) out.push_back(live_ids[p]);
-  std::sort(out.begin(), out.end());
+  for (PointId p = 0; p < data.num_points(); ++p) {
+    if (!version.IsLive(p)) continue;
+    bool dominated = false;
+    for (PointId q = 0; q < data.num_points() && !dominated; ++q) {
+      dominated = q != p && version.IsLive(q) &&
+                  DominatesInSubspace(data.row(q), data.row(p), v);
+    }
+    if (!dominated) out.push_back(p);
+  }
   return out;
 }
 
@@ -98,7 +100,6 @@ TEST(QueryUpdateTest, DominatedInsertRepairsCachedCuboids) {
   const QueryStatsSnapshot stats = service.Stats();
   EXPECT_EQ(stats.repaired - repaired_before, 7u);
   EXPECT_EQ(stats.invalidated, 0u);
-  EXPECT_EQ(stats.stale_entries, 0u);
   EXPECT_GT(stats.update_tests, 0u);
 
   // Repaired entries serve hits at the new epoch — no recompute.
@@ -126,7 +127,7 @@ TEST(QueryUpdateTest, DominatingInsertJoinsAndEvictsViaRepair) {
   }
 }
 
-TEST(QueryUpdateTest, RemoveOfNonMemberRepairsRemoveOfMemberInvalidates) {
+TEST(QueryUpdateTest, RemoveOfNonMemberOrMemberRepairs) {
   const Dataset data = Generate(DataType::kUniformIndependent, 200, 3, 44);
   QueryServiceOptions options;
   options.pin_full_space = false;
@@ -141,26 +142,26 @@ TEST(QueryUpdateTest, RemoveOfNonMemberRepairsRemoveOfMemberInvalidates) {
   service.ApplyUpdate({}, std::vector<PointId>{non_member});
   QueryStatsSnapshot stats = service.Stats();
   EXPECT_EQ(stats.repaired, 1u);
-  EXPECT_EQ(stats.invalidated, 0u);
   std::uint64_t epoch = 0;
   EXPECT_EQ(service.Query(v, &epoch), sky);
   EXPECT_EQ(epoch, 1u);
 
-  // Remove a member: unrepairable — the entry goes stale and the next
-  // query recomputes at the new epoch.
+  // Remove a member: the rows it alone dominated surface from a scan of
+  // every live row (no pinned answer to draw them from), and the next
+  // query is a hit at the new epoch.
   service.ApplyUpdate({}, std::vector<PointId>{sky.front()});
   stats = service.Stats();
-  EXPECT_EQ(stats.invalidated, 1u);
-  EXPECT_EQ(stats.stale_entries, 1u);
-  const std::uint64_t misses_before = stats.misses();
-  EXPECT_EQ(service.Query(v, &epoch), OracleSkyline(*service.current_version(), v));
+  EXPECT_EQ(stats.repaired, 2u);
+  EXPECT_EQ(stats.invalidated, 0u);
+  EXPECT_EQ(service.Query(v, &epoch),
+            OracleSkyline(*service.current_version(), v));
   EXPECT_EQ(epoch, 2u);
-  EXPECT_EQ(service.Stats().misses(), misses_before + 1);
-  EXPECT_EQ(service.Stats().stale_entries, 0u);  // replaced in place
+  EXPECT_EQ(service.Stats().hits, stats.hits + 1);
+  EXPECT_EQ(service.Stats().misses(), stats.misses());
   ExpectAllCuboidsMatchOracle(service);
 }
 
-TEST(QueryUpdateTest, RemovedPinnedSeedMemberIsRecomputedEagerly) {
+TEST(QueryUpdateTest, RemovedPinnedSeedMemberIsRepaired) {
   const Dataset data = Generate(DataType::kUniformIndependent, 300, 4, 45);
   QueryService service(data);  // pinned full space
   const std::vector<PointId> sky = service.Query(Subspace::Full(4));
@@ -168,10 +169,17 @@ TEST(QueryUpdateTest, RemovedPinnedSeedMemberIsRecomputedEagerly) {
 
   service.ApplyUpdate({}, std::vector<PointId>{sky.front()});
   const QueryStatsSnapshot stats = service.Stats();
-  EXPECT_EQ(stats.pinned_recomputes, 1u);
-  EXPECT_EQ(stats.stale_entries, 0u);  // the pin never goes stale
+  EXPECT_EQ(stats.repaired, 1u);
+  EXPECT_EQ(stats.pinned_recomputes, 0u);
+  EXPECT_EQ(stats.cold, 0u);
+  const DatasetVersionPtr version = service.current_version();
+  std::vector<PointId> pinned;
+  std::uint64_t epoch = 0;
+  ASSERT_TRUE(service.PeekExact(Subspace::Full(4), &pinned, &epoch));
+  EXPECT_EQ(pinned, OracleSkyline(*version, Subspace::Full(4)));
+  EXPECT_EQ(epoch, 1u);
 
-  // The recomputed pin still seeds every first subspace query: no cold
+  // The repaired pin still seeds every first subspace query: no cold
   // misses beyond construction.
   for (std::uint64_t bits = 1; bits < 15; ++bits) service.Query(Subspace(bits));
   EXPECT_EQ(service.Stats().cold, 0u);
@@ -180,13 +188,15 @@ TEST(QueryUpdateTest, RemovedPinnedSeedMemberIsRecomputedEagerly) {
 
 TEST(QueryUpdateTest, ParallelColdPathMatchesSequentialAtAnyThreadCount) {
   // parallel_cold_threshold = 1 sends every cold compute to the parallel
-  // engine: the pinned setup, an unpinned cold query, and the pinned
-  // recompute after a full-space skyline member is removed. Each must
-  // answer as a service that never reaches the threshold does, and the
-  // dominance tests charged must not depend on the thread count.
+  // engine: the pinned setup, and an unpinned cold query before and
+  // after a removal tombstones the version. Each must answer as a
+  // service that never reaches the threshold does, and the dominance
+  // tests charged must not depend on the thread count, nor must the
+  // repair of the pinned entry after a full-space member is removed.
   const Dataset data = Generate(DataType::kAntiCorrelated, 3000, 6, 46);
   const Subspace full = Subspace::Full(6);
   const Subspace v{0, 2, 3};
+  const Subspace w{1, 4};
 
   QueryServiceOptions sequential;
   sequential.parallel_cold_threshold = data.num_points() + 1;
@@ -195,10 +205,15 @@ TEST(QueryUpdateTest, ParallelColdPathMatchesSequentialAtAnyThreadCount) {
   ASSERT_FALSE(sky.empty());
   const std::vector<PointId> removes{sky.front()};
   pinned_reference.ApplyUpdate({}, removes);
-  const std::vector<PointId> recomputed = pinned_reference.Query(full);
+  const std::vector<PointId> repaired = pinned_reference.Query(full);
+  EXPECT_EQ(repaired, OracleSkyline(*pinned_reference.current_version(), full));
   sequential.pin_full_space = false;
   QueryService unpinned_reference(data, sequential);
   const std::vector<PointId> cold = unpinned_reference.Query(v);
+  unpinned_reference.ApplyUpdate({}, removes);
+  const std::vector<PointId> tombstoned_cold = unpinned_reference.Query(w);
+  EXPECT_EQ(tombstoned_cold,
+            OracleSkyline(*unpinned_reference.current_version(), w));
 
   std::vector<std::uint64_t> setup_tests, cold_tests, update_tests;
   for (unsigned threads : {1u, 2u, 4u}) {
@@ -208,13 +223,15 @@ TEST(QueryUpdateTest, ParallelColdPathMatchesSequentialAtAnyThreadCount) {
     QueryService pinned(data, options);
     EXPECT_EQ(pinned.Query(full), sky) << "threads=" << threads;
     pinned.ApplyUpdate({}, removes);
-    EXPECT_EQ(pinned.Query(full), recomputed) << "threads=" << threads;
-    EXPECT_EQ(pinned.Stats().pinned_recomputes, 1u);
+    EXPECT_EQ(pinned.Query(full), repaired) << "threads=" << threads;
+    EXPECT_EQ(pinned.Stats().cold, 0u);
 
     options.pin_full_space = false;
     QueryService unpinned(data, options);
     EXPECT_EQ(unpinned.Query(v), cold) << "threads=" << threads;
-    EXPECT_EQ(unpinned.Stats().cold, 1u);
+    unpinned.ApplyUpdate({}, removes);
+    EXPECT_EQ(unpinned.Query(w), tombstoned_cold) << "threads=" << threads;
+    EXPECT_EQ(unpinned.Stats().cold, 2u);
 
     setup_tests.push_back(pinned.Stats().cold_tests);
     update_tests.push_back(pinned.Stats().update_tests);
@@ -225,9 +242,10 @@ TEST(QueryUpdateTest, ParallelColdPathMatchesSequentialAtAnyThreadCount) {
     EXPECT_EQ(update_tests[t], update_tests[0]);
     EXPECT_EQ(cold_tests[t], cold_tests[0]);
   }
-  // The parallel engine ran: it skips SfsSubset's pivot re-tests.
+  // The parallel engine ran: it skips SfsSubset's pivot re-tests. The
+  // repair runs no engine over the full space, so it costs the same.
   EXPECT_LT(setup_tests[0], pinned_reference.Stats().cold_tests);
-  EXPECT_LT(update_tests[0], pinned_reference.Stats().update_tests);
+  EXPECT_EQ(update_tests[0], pinned_reference.Stats().update_tests);
   EXPECT_LT(cold_tests[0], unpinned_reference.Stats().cold_tests);
 }
 
@@ -274,30 +292,25 @@ TEST(QueryUpdateTest, PeekExactEpochOptInContract) {
   const Subspace v = Subspace::Full(3);
   const std::vector<PointId> sky = service.Query(v);
 
-  // Invalidate the entry by removing a member.
+  // Remove a member: the entry is repaired, not dropped.
   service.ApplyUpdate({}, std::vector<PointId>{sky.front()});
 
-  // PeekExact never serves a stale entry.
+  // PeekExact serves the repaired entry with the epoch it is exact at,
+  // when the caller opts into receiving it.
   std::vector<PointId> ids;
   std::uint64_t entry_epoch = 99;
-  EXPECT_FALSE(service.PeekExact(v, &ids, &entry_epoch));
-  EXPECT_EQ(entry_epoch, 99u);
-
-  // The stale read is PeekStale's: the core of sky(v) over the stale
-  // entry — sky(v) itself, since no member dominates another — tagged
-  // with the entry's epoch and age.
-  StaleAnswer stale;
-  ASSERT_TRUE(service.PeekStale(v, &stale));
-  EXPECT_FALSE(stale.exact);
-  EXPECT_EQ(stale.ids, sky);
-  EXPECT_EQ(stale.epoch, 0u);
-  EXPECT_EQ(stale.epoch_delta, 1u);
-
-  // After a fresh compute the probe serves the current entry.
-  service.Query(v);
   ASSERT_TRUE(service.PeekExact(v, &ids, &entry_epoch));
   EXPECT_EQ(entry_epoch, 1u);
+  EXPECT_EQ(ids, OracleSkyline(*service.current_version(), v));
   EXPECT_TRUE(service.PeekExact(v, nullptr));
+
+  // PeekStale reads the same entry as exact, at the same epoch.
+  StaleAnswer answer;
+  ASSERT_TRUE(service.PeekStale(v, &answer));
+  EXPECT_TRUE(answer.exact);
+  EXPECT_EQ(answer.ids, ids);
+  EXPECT_EQ(answer.epoch, 1u);
+  EXPECT_EQ(answer.tests, 0u);
 }
 
 TEST(QueryUpdateTest, PeekNearestAncestorPrefersFresherEpochs) {
@@ -308,26 +321,25 @@ TEST(QueryUpdateTest, PeekNearestAncestorPrefersFresherEpochs) {
   const Subspace target{0};
   const std::vector<PointId> full_sky = service.Query(Subspace::Full(3));
 
-  // Make the full-space entry stale (remove one of its members), then
-  // cache a current-epoch ancestor {0,1}.
+  // Remove a member of the full-space entry, then cache {0,1}: both
+  // entries are at the new epoch, the first through its repair.
   service.ApplyUpdate({}, std::vector<PointId>{full_sky.front()});
   const std::vector<PointId> pair_sky = service.Query(Subspace{0, 1});
+  ASSERT_LT(pair_sky.size(), full_sky.size());
 
-  // Only the current-epoch ancestor is eligible.
+  // The smaller ancestor ranks first.
   Subspace ancestor;
   std::vector<PointId> ids;
   ASSERT_TRUE(service.PeekNearestAncestor(target, &ancestor, &ids));
   EXPECT_EQ(ancestor, (Subspace{0, 1}));
   EXPECT_EQ(ids, pair_sky);
 
-  // The stale read admits stale entries, yet the current ancestor still
-  // ranks first (delta 0 beats delta 1 regardless of size): the answer
-  // is the core over {0,1}'s skyline, at epoch 1.
+  // The degraded read picks the same ancestor: the answer is the core
+  // over {0,1}'s skyline, at epoch 1.
   StaleAnswer answer;
-  answer.epoch = answer.epoch_delta = 99;
+  answer.epoch = 99;
   ASSERT_TRUE(service.PeekStale(target, &answer));
   EXPECT_FALSE(answer.exact);
-  EXPECT_EQ(answer.epoch_delta, 0u);
   EXPECT_EQ(answer.epoch, 1u);
   std::vector<PointId> core =
       SubspaceSkylineOverCandidates(service.current_version()->data, target,
@@ -336,22 +348,180 @@ TEST(QueryUpdateTest, PeekNearestAncestorPrefersFresherEpochs) {
   EXPECT_EQ(answer.ids, core);
 }
 
-TEST(QueryUpdateTest, StaleEntryNeverSeedsAMiss) {
+TEST(QueryUpdateTest, RepairedEntrySeedsAMiss) {
   const Dataset data = Generate(DataType::kAntiCorrelated, 300, 3, 48);
   QueryServiceOptions options;
   options.pin_full_space = false;
   QueryService service(data, options);
   const std::vector<PointId> full_sky = service.Query(Subspace::Full(3));
 
-  // Invalidate the only cached cuboid, then query a subspace: the miss
-  // must go cold, not seed from the stale full space.
+  // Remove a member of the only cached cuboid, then query a subspace:
+  // the repaired full space is current, so the miss seeds from it.
   service.ApplyUpdate({}, std::vector<PointId>{full_sky.front()});
   const std::uint64_t cold_before = service.Stats().cold;
-  service.Query(Subspace{0, 1});
+  std::uint64_t epoch = 0;
+  EXPECT_EQ(service.Query(Subspace{0, 1}, &epoch),
+            OracleSkyline(*service.current_version(), Subspace{0, 1}));
+  EXPECT_EQ(epoch, 1u);
   const QueryStatsSnapshot stats = service.Stats();
-  EXPECT_EQ(stats.cold, cold_before + 1);
-  EXPECT_EQ(stats.seeded, 0u);
+  EXPECT_EQ(stats.cold, cold_before);
+  EXPECT_EQ(stats.seeded, 1u);
   ExpectAllCuboidsMatchOracle(service);
+}
+
+// Queries every cuboid once, so each is cached.
+void CacheEveryCuboid(QueryService& service) {
+  const std::uint64_t full = Subspace::Full(service.num_dims()).bits();
+  for (std::uint64_t bits = 1; bits <= full; ++bits) {
+    service.Query(Subspace(bits));
+  }
+}
+
+// Applies the batch to a service whose every cuboid is cached, then
+// checks that the update repaired each cached entry and that every
+// cuboid is then a hit equal to the brute-force oracle.
+void ExpectUpdateRepairsEveryCuboid(QueryService& service,
+                                    std::span<const Value> inserts,
+                                    std::span<const PointId> removes) {
+  const QueryStatsSnapshot before = service.Stats();
+  const std::uint64_t epoch = service.ApplyUpdate(inserts, removes);
+  const QueryStatsSnapshot after = service.Stats();
+  EXPECT_EQ(after.repaired - before.repaired, before.cache_entries);
+  EXPECT_EQ(after.cache_entries, before.cache_entries);
+  EXPECT_EQ(after.invalidated, 0u);
+  EXPECT_EQ(after.pinned_recomputes, 0u);
+  ExpectAllCuboidsMatchOracle(service);
+  const QueryStatsSnapshot queried = service.Stats();
+  EXPECT_EQ(queried.hits - after.hits, before.cache_entries);
+  EXPECT_EQ(queried.misses(), after.misses());
+  EXPECT_EQ(queried.epoch, epoch);
+}
+
+// The id of the row with the smallest value in dimension `dim`.
+PointId ArgMin(const Dataset& data, Dim dim) {
+  PointId best = 0;
+  for (PointId p = 1; p < data.num_points(); ++p) {
+    if (data.row(p)[dim] < data.row(best)[dim]) best = p;
+  }
+  return best;
+}
+
+TEST(QueryUpdateTest, MemberRemovalRepairsEveryCachedCuboidFromThePin) {
+  // The dimension-0 minimum is on the skyline of every cuboid holding
+  // dimension 0: its removal hits eight cached answers, the pinned full
+  // space among them, and the other seven draw their candidates from
+  // the repaired pin.
+  const Dataset data = Generate(DataType::kUniformIndependent, 300, 4, 60);
+  QueryService service(data);
+  CacheEveryCuboid(service);
+  ASSERT_EQ(service.Stats().cache_entries, 15u);
+  const PointId argmin = ArgMin(data, 0);
+  ExpectUpdateRepairsEveryCuboid(service, {}, std::vector<PointId>{argmin});
+}
+
+TEST(QueryUpdateTest, MemberRemovalRepairsEveryCachedCuboidUnpinned) {
+  // The same removal without a pinned answer: every repair scans every
+  // live row for its candidates.
+  const Dataset data = Generate(DataType::kUniformIndependent, 300, 4, 60);
+  QueryServiceOptions options;
+  options.pin_full_space = false;
+  QueryService service(data, options);
+  CacheEveryCuboid(service);
+  ASSERT_EQ(service.Stats().cache_entries, 15u);
+  const PointId argmin = ArgMin(data, 0);
+  ExpectUpdateRepairsEveryCuboid(service, {}, std::vector<PointId>{argmin});
+}
+
+TEST(QueryUpdateTest, RemovingTheSoleMemberOfAOneDimensionalCuboid) {
+  const Dataset data = Generate(DataType::kUniformIndependent, 200, 3, 61);
+  for (const bool pin : {true, false}) {
+    QueryServiceOptions options;
+    options.pin_full_space = pin;
+    QueryService service(data, options);
+    const PointId argmin = ArgMin(data, 2);
+    ASSERT_EQ(service.Query(Subspace{2}), std::vector<PointId>{argmin});
+    const std::uint64_t hits = service.Stats().hits;
+    service.ApplyUpdate({}, std::vector<PointId>{argmin});
+    const std::vector<PointId> after = service.Query(Subspace{2});
+    EXPECT_EQ(after, OracleSkyline(*service.current_version(), Subspace{2}))
+        << "pinned=" << pin;
+    ASSERT_EQ(after.size(), 1u);
+    EXPECT_NE(after.front(), argmin);
+    EXPECT_EQ(service.Stats().hits, hits + 1) << "pinned=" << pin;
+  }
+}
+
+TEST(QueryUpdateTest, RemovingOneOfTwoDuplicatesKeepsTheTwin) {
+  // A full-space skyline member with an exact twin: removing it leaves
+  // the twin on every answer it was on, and no row surfaces (the twin
+  // dominates whatever the removed row did), so each answer only loses
+  // the removed id.
+  const Dataset base = Generate(DataType::kUniformIndependent, 200, 3, 62);
+  const PointId original = ArgMin(base, 1);
+  std::vector<Value> values = base.values();
+  const Value* row = base.row(original);
+  values.insert(values.end(), row, row + 3);
+  const Dataset data(3, std::move(values));
+  const PointId twin = static_cast<PointId>(base.num_points());
+  QueryService service(data);
+  CacheEveryCuboid(service);
+  std::vector<std::vector<PointId>> before;
+  for (std::uint64_t bits = 1; bits < 8; ++bits) {
+    before.push_back(service.Query(Subspace(bits)));
+  }
+  ExpectUpdateRepairsEveryCuboid(service, {}, std::vector<PointId>{original});
+  for (std::uint64_t bits = 1; bits < 8; ++bits) {
+    std::vector<PointId> want = before[bits - 1];
+    std::erase(want, original);
+    const std::vector<PointId> got = service.Query(Subspace(bits));
+    EXPECT_EQ(got, want) << "cuboid " << Subspace(bits).ToString();
+    if (Subspace(bits).Contains(1)) {
+      EXPECT_TRUE(std::binary_search(got.begin(), got.end(), twin));
+    }
+  }
+}
+
+TEST(QueryUpdateTest, BatchInsertsARowDominatedOnlyByARemovedMember) {
+  // p is dominated by m alone. The insert rule keeps p out of every
+  // answer that holds m; the remove rule, in the same batch, must then
+  // surface it.
+  const Dataset data(3, {0.1, 0.9, 0.9,    // a
+                         0.9, 0.1, 0.9,    // b
+                         0.9, 0.9, 0.1,    // c
+                         0.3, 0.3, 0.3,    // m = id 3
+                         0.5, 0.5, 0.5,    // dominated by m
+                         0.6, 0.4, 0.7});  // dominated by m
+  const std::vector<Value> p = {0.35, 0.35, 0.35};
+  const PointId p_id = static_cast<PointId>(data.num_points());
+  for (const bool pin : {true, false}) {
+    QueryServiceOptions options;
+    options.pin_full_space = pin;
+    QueryService service(data, options);
+    CacheEveryCuboid(service);
+    ExpectUpdateRepairsEveryCuboid(service, p, std::vector<PointId>{3});
+    const std::vector<PointId> full = service.Query(Subspace::Full(3));
+    EXPECT_TRUE(std::binary_search(full.begin(), full.end(), p_id))
+        << "pinned=" << pin;
+  }
+}
+
+TEST(QueryUpdateTest, RepairFromThePinnedAnswerRunsTheTieRule) {
+  // Dimension 0 repeats a value, so {0} holds no distinct dimension.
+  // Removing m leaves y and x tied at the new minimum of dimension 0,
+  // but only y is on the full-space skyline (it dominates x there): the
+  // repair of {0} finds y among the pinned answer's rows, and only the
+  // tie rule can add x.
+  const Dataset data(2, {0.0, 5.0,    // m = id 0
+                         1.0, 1.0,    // y = id 1
+                         1.0, 2.0,    // x = id 2
+                         2.0, 0.5});  // z = id 3
+  QueryService service(data);
+  ASSERT_FALSE(service.current_version()->distinct_dims().Contains(0));
+  CacheEveryCuboid(service);
+  ASSERT_EQ(service.Query(Subspace{0}), std::vector<PointId>{0});
+  ExpectUpdateRepairsEveryCuboid(service, {}, std::vector<PointId>{0});
+  EXPECT_EQ(service.Query(Subspace{0}), (std::vector<PointId>{1, 2}));
+  EXPECT_EQ(service.Query(Subspace::Full(2)), (std::vector<PointId>{1, 3}));
 }
 
 TEST(QueryUpdateTest, MixedBatchMatchesOracleOnDuplicateHeavyData) {

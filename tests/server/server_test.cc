@@ -236,7 +236,7 @@ TEST(SkylineServerTest, ServeStaleServesAnExpiredCachedCuboidAtDispatch) {
   const ServerResponse response = handle.Wait();
   EXPECT_EQ(response.status, StatusCode::kOk);
   EXPECT_EQ(response.ids, SubspaceSkyline(data, full));
-  EXPECT_EQ(response.epoch_delta, 0u);
+  EXPECT_EQ(response.epoch, 0u);
   const ServerStatsSnapshot stats = server.Stats();
   EXPECT_EQ(stats.deadline_misses, 1u);
   EXPECT_EQ(stats.triaged, 1u);
@@ -450,7 +450,6 @@ TEST(SkylineServerUpdateTest, SubmitUpdateAppliesAndTagsEpoch) {
   const ServerResponse applied = update.Wait();
   EXPECT_EQ(applied.status, StatusCode::kOk);
   EXPECT_EQ(applied.epoch, 1u);
-  EXPECT_EQ(applied.epoch_delta, 0u);
   EXPECT_TRUE(applied.ids.empty());
 
   const ServerResponse response = server.Query(Subspace(0b011));
@@ -603,39 +602,46 @@ TEST(SkylineServerUpdateTest, MalformedUpdatesResolveInvalidArgument) {
   EXPECT_EQ(stats.submitted + stats.updates_submitted, stats.resolved_total());
 }
 
-TEST(SkylineServerUpdateTest, ServeStaleTagsPreUpdateAnswersWithEpochDelta) {
+TEST(SkylineServerUpdateTest, ServeStaleAfterAMemberRemovalServesTheNewEpoch) {
   const Dataset data = Generate(DataType::kAntiCorrelated, 300, 3, 100);
   ServerOptions options;
   options.workers = 1;
   options.policy = OverloadPolicy::kServeStale;
-  options.query.pin_full_space = false;  // let the cached entry go stale
+  options.query.pin_full_space = false;  // the warm query's entry only
   options.inline_fast_hits = false;
   SkylineServer server(data, options);
   const Subspace full = Subspace::Full(3);
 
-  // Warm the cache at epoch 0, then invalidate the entry by removing a
-  // member of its answer (unrepairable, left stale).
+  // Warm the cache at epoch 0, then remove a member of the cached
+  // answer: the update repairs the entry to epoch 1.
   const ServerResponse warm = server.Query(full);
   ASSERT_EQ(warm.status, StatusCode::kOk);
   ASSERT_FALSE(warm.ids.empty());
   ASSERT_EQ(server.SubmitUpdate({}, {warm.ids.front()}).Wait().epoch, 1u);
 
   // An already-expired request hits the dispatch-time serve-stale path;
-  // the only cached ancestor is the pre-update full-space entry, so the
-  // degraded answer must be tagged with its age instead of passing as
-  // current.
+  // the only cached ancestor is the repaired full-space entry, so the
+  // degraded answer reflects the new epoch.
   const ServerResponse stale = server.Query(Subspace(0b011), nanoseconds(0));
   EXPECT_EQ(stale.status, StatusCode::kStale);
-  EXPECT_EQ(stale.epoch, 0u);
-  EXPECT_EQ(stale.epoch_delta, 1u);
-  // Sound for the epoch it reports: a sorted subset of the epoch-0
-  // oracle for the queried cuboid.
-  EXPECT_TRUE(
-      IsSortedSubsetOf(stale.ids, SubspaceSkyline(data, Subspace(0b011))));
+  EXPECT_EQ(stale.epoch, 1u);
+  // Sound for the epoch it reports: a sorted subset of the epoch-1
+  // oracle for the queried cuboid, which no longer holds the removed id.
+  std::vector<Value> live_values;
+  for (PointId p = 0; p < data.num_points(); ++p) {
+    if (p == warm.ids.front()) continue;
+    live_values.insert(live_values.end(), data.row(p), data.row(p) + 3);
+  }
+  std::vector<PointId> want;
+  for (PointId p : SubspaceSkyline(Dataset(3, std::move(live_values)),
+                                   Subspace(0b011))) {
+    want.push_back(p < warm.ids.front() ? p : p + 1);
+  }
+  EXPECT_TRUE(IsSortedSubsetOf(stale.ids, want));
 
   const ServerStatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.stale_epoch_served, 1u);
-  EXPECT_EQ(stats.stale_epoch_delta_max, 1u);
+  EXPECT_EQ(stats.stale_served, 1u);
+  EXPECT_EQ(stats.query.repaired, 1u);
   EXPECT_EQ(stats.submitted + stats.updates_submitted, stats.resolved_total());
 }
 

@@ -1,11 +1,16 @@
 // Exact score ties between a row and its dominator. A row one ULP worse
 // than its dominator in a single coordinate can round to the same
-// squared distance, or the same coordinate sum. Merge's pivot pick and
-// the survivor sort then order the pair by the lexicographically
-// smaller row, then the smaller id: the dominator comes first even when
-// the dominated row has the lower id, so it is never returned.
+// squared distance, or the same coordinate sum. Merge's pivot pick, the
+// survivor sort and every presorting engine then order the pair by the
+// lexicographically smaller row, then the smaller id (TieBreaksBefore):
+// the dominator comes first even when the dominated row has the lower
+// id, so it is never returned.
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +21,7 @@
 #include "src/core/scores.h"
 #include "src/core/subspace.h"
 #include "src/core/verify.h"
+#include "src/extras/skyband.h"
 #include "src/query/query_service.h"
 #include "src/subset/merge.h"
 
@@ -24,14 +30,16 @@ namespace {
 
 constexpr Dim kDims = 8;
 
-/// Row 1: (0.31, 0.72, 0.18, 0.55, 0.93, 0.07, 0.46, 0.64). Row 0 is
-/// row 1 with coordinate `bumped` one ULP larger, so row 1 dominates
-/// row 0. Rows 2..9 hold 0 in dimension k = row - 2 and 1 elsewhere:
-/// incomparable with the pair and with each other, and they pin every
-/// dimension's minimum, so Merge's anchor is the origin.
-std::vector<std::vector<Value>> TiePairRows(Dim bumped) {
-  const std::vector<Value> dominator = {0.31, 0.72, 0.18, 0.55,
-                                        0.93, 0.07, 0.46, 0.64};
+/// Row 1 is `dominator`, by default (0.31, 0.72, 0.18, 0.55, 0.93,
+/// 0.07, 0.46, 0.64). Row 0 is row 1 with coordinate `bumped` one ULP
+/// larger, so row 1 dominates row 0. Rows 2..9 hold 0 in dimension
+/// k = row - 2 and 1 elsewhere: incomparable with the pair and with each
+/// other, and they pin every dimension's minimum, so Merge's anchor is
+/// the origin.
+std::vector<std::vector<Value>> TiePairRows(
+    Dim bumped, const std::vector<Value>& dominator = {0.31, 0.72, 0.18, 0.55,
+                                                       0.93, 0.07, 0.46,
+                                                       0.64}) {
   std::vector<Value> dominated = dominator;
   dominated[bumped] = std::nextafter(dominated[bumped], 1.0);
   std::vector<std::vector<Value>> rows = {dominated, dominator};
@@ -101,6 +109,38 @@ TEST(ScoreTieTest, BoostedEnginesDropTheTiedDominatedRow) {
     const auto algo = MakeAlgorithm(name);
     ASSERT_NE(algo, nullptr) << name;
     EXPECT_TRUE(SameIdSet(algo->Compute(data), want)) << name;
+  }
+}
+
+TEST(ScoreTieTest, PresortingEnginesDropTheTiedDominatedRow) {
+  // Row 1 drawn uniformly from [0.05, 0.95], each coordinate bumped in
+  // turn: most of the 1,600 pairs tie on some engine's presort key (the
+  // sum, minC, a lattice level and sum, or BBS's mindist).
+  std::vector<std::pair<std::string, std::unique_ptr<SkylineAlgorithm>>>
+      engines;
+  for (const char* name : {"sfs", "salsa", "less", "index", "bbs",
+                           "bskytree-s", "parallel-sfs"}) {
+    engines.emplace_back(name, MakeAlgorithm(name));
+    ASSERT_NE(engines.back().second, nullptr) << name;
+  }
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<Value> draw(0.05, 0.95);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<Value> dominator(kDims);
+    for (Value& v : dominator) v = draw(rng);
+    for (Dim bumped = 0; bumped < kDims; ++bumped) {
+      const Dataset data = Dataset::FromRows(TiePairRows(bumped, dominator));
+      for (const auto& [name, engine] : engines) {
+        EXPECT_FALSE(Contains(engine->Compute(data), 0))
+            << name << ": trial " << trial << ", bumped " << bumped;
+      }
+      // The 1-skyband is the skyline, scanned in SortedByScore order.
+      EXPECT_FALSE(Contains(ComputeSkyband(data, 1).points, 0))
+          << "skyband: trial " << trial << ", bumped " << bumped;
+      // SDI's stop point.
+      EXPECT_NE(ArgMinScore(data, ScoreFunction::kEuclidean), 0u)
+          << "trial " << trial << ", bumped " << bumped;
+    }
   }
 }
 
