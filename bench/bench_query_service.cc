@@ -314,7 +314,8 @@ int main(int argc, char** argv) {
             removes.push_back(id);
           }
         }
-        const std::uint64_t epoch = service.ApplyUpdate(rows, removes);
+        const std::uint64_t epoch =
+            service.ApplyUpdate(rows, removes).value();
         // The peek above made the hot entry the most recent one, so
         // this second touch leaves the LRU order as it was.
         std::vector<PointId> hot_ids;

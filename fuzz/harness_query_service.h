@@ -4,18 +4,22 @@
 //   [0]  dimensionality d = 2 + b % 3          (2..4)
 //   [1]  cache capacity  = 1 + b % 6           (max_entries)
 //   [2]  flags: bit0 = pin_full_space
-//              bit1 = bound total ids (max_total_ids = 8 * capacity)
+//              bit1 = submit one malformed update before the queries
 //              bit2 = seeded_boost_threshold = 0 (every seeded miss
 //                     takes the subset-boosted kernel, not the BNL)
 //   [3]  number of points n = 1 + b % 48
 //   then n * d value bytes, quantized to b % 8 so duplicate
 //   projections (the tie-repair path) are everywhere,
+//   then, with bit1, one byte b: the update removes id n + b, always
+//   out of range,
 //   then every remaining byte is one query: mask = 1 + b % (2^d - 1).
 //
-// Checks per query: result equals the O(d N^2) oracle (computed fresh,
-// memoized per distinct mask); afterwards the stats identities
-// (queries = hits + misses, latency count, eviction/capacity bound,
-// tie scans <= seeded misses).
+// Checks: the malformed update is refused and leaves the epoch and the
+// update count at 0; each query's result equals the O(d N^2) oracle
+// (computed fresh, memoized per distinct mask), so the cache the
+// refused update must leave alone is checked too; afterwards the stats
+// identities (queries = hits + misses, latency count,
+// eviction/capacity bound, tie scans <= seeded misses).
 #ifndef SKYLINE_FUZZ_HARNESS_QUERY_SERVICE_H_
 #define SKYLINE_FUZZ_HARNESS_QUERY_SERVICE_H_
 
@@ -60,7 +64,6 @@ inline void RunQueryServiceFuzzInput(const std::uint8_t* data,
   options.max_entries = 1 + in.U8() % 6;
   const std::uint8_t flags = in.U8();
   options.pin_full_space = (flags & 1) != 0;
-  if ((flags & 2) != 0) options.max_total_ids = 8 * options.max_entries;
   if ((flags & 4) != 0) options.seeded_boost_threshold = 0;
 
   const std::size_t n = 1 + in.U8() % 48;
@@ -72,6 +75,14 @@ inline void RunQueryServiceFuzzInput(const std::uint8_t* data,
   }
 
   QueryService service(table, options);
+  if ((flags & 2) != 0) {
+    const std::vector<PointId> removes = {static_cast<PointId>(n + in.U8())};
+    FUZZ_CHECK(!service.ApplyUpdate({}, removes).has_value(),
+               "a remove id out of range was not refused");
+    const QueryStatsSnapshot stats = service.Stats();
+    FUZZ_CHECK(stats.epoch == 0 && stats.updates == 0,
+               "a refused update changed the epoch or the update count");
+  }
   const std::uint64_t num_masks = std::uint64_t{1} << d;
   std::map<std::uint64_t, std::vector<PointId>> oracle;
   std::uint64_t num_queries = 0;

@@ -43,25 +43,22 @@ void CheckSubspace(Subspace v, Dim num_dims, const char* msg) {
   }
 }
 
-/// Why ApplyUpdate must refuse the batch against `version`, or nullptr
-/// when it can apply it.
-const char* UpdateError(const DatasetVersion& version,
-                        std::span<const Value> inserts,
-                        std::span<const PointId> removes) {
-  if (inserts.size() % version.data.num_dims() != 0) {
-    return "ApplyUpdate: inserts must be k * num_dims values";
-  }
+/// Whether ApplyUpdate can apply the batch to `version`: whole rows
+/// only, and every remove id in range (so not from this batch), live
+/// and given once.
+bool IsValidUpdate(const DatasetVersion& version,
+                   std::span<const Value> inserts,
+                   std::span<const PointId> removes) {
+  if (inserts.size() % version.data.num_dims() != 0) return false;
   std::vector<PointId> sorted(removes.begin(), removes.end());
   std::sort(sorted.begin(), sorted.end());
   for (std::size_t i = 0; i < sorted.size(); ++i) {
-    if (sorted[i] >= version.data.num_points()) {
-      return "ApplyUpdate: remove id out of range or from this batch";
-    }
-    if (!version.IsLive(sorted[i]) || (i > 0 && sorted[i] == sorted[i - 1])) {
-      return "ApplyUpdate: remove of an already-removed or repeated id";
+    if (sorted[i] >= version.data.num_points() || !version.IsLive(sorted[i]) ||
+        (i > 0 && sorted[i] == sorted[i - 1])) {
+      return false;
     }
   }
-  return nullptr;
+  return true;
 }
 
 }  // namespace
@@ -113,7 +110,7 @@ QueryService::QueryService(const Dataset& data, QueryServiceOptions options)
   if (!options_.pin_full_space) return;
   const Subspace full = Subspace::Full(num_dims_);
   std::uint64_t tests = 0;
-  auto entry = std::make_shared<Entry>(/*pinned_entry=*/true, /*entry_epoch=*/0);
+  auto entry = std::make_shared<Entry>(/*entry_epoch=*/0);
   std::vector<PointId> ids = ComputeCold(*v0, full, &tests);
   cold_tests_.fetch_add(tests, std::memory_order_relaxed);
   entry->last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
@@ -122,7 +119,6 @@ QueryService::QueryService(const Dataset& data, QueryServiceOptions options)
   // No other thread can hold a reference yet, but taking the lock keeps
   // the guarded-field discipline uniform (and is uncontended here).
   WriterLock lock(cache_mu_);
-  pinned_entries_ = 1;
   cache_.emplace(full.bits(), std::move(entry));
 }
 
@@ -314,8 +310,8 @@ std::vector<PointId> QueryService::Repair(const DatasetVersion& next,
   return ids;
 }
 
-std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
-                                        std::span<const PointId> removes) {
+std::optional<std::uint64_t> QueryService::ApplyUpdate(
+    std::span<const Value> inserts, std::span<const PointId> removes) {
   if (inserts.empty() && removes.empty()) return epoch();  // No-op.
   const Dim d = num_dims_;
   const std::size_t num_inserts = inserts.size() / d;
@@ -325,11 +321,9 @@ std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
   {
     WriterLock lock(cache_mu_);
     const DatasetVersionPtr old = version_;
-    // The batch is caller input, so it is checked in every build type; a
-    // bad one aborts before any state changes.
-    if (const char* error = UpdateError(*old, inserts, removes)) {
-      SKYLINE_CONTRACT_VIOLATION(error);
-    }
+    // Checked under the lock that fixes the version the batch applies
+    // to; a bad batch is refused before any state changes.
+    if (!IsValidUpdate(*old, inserts, removes)) return std::nullopt;
     auto next = std::make_shared<DatasetVersion>();
     const PointId first_inserted =
         static_cast<PointId>(old->data.num_points());
@@ -348,8 +342,13 @@ std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
     next->epoch = old->epoch + 1;
     next->has_removed = old->has_removed || !removes.empty();
     next->num_live = old->num_live + num_inserts - removes.size();
-    next->set_distinct_dims(
-        DistinctDims(next->data, old->distinct_dims(), first_inserted));
+    // Only an old mask already known is carried over: computing it here
+    // would scan every row under the exclusive lock. Left unset, the
+    // next version's first distinct_dims() call computes it.
+    if (old->distinct_dims_known()) {
+      next->set_distinct_dims(
+          DistinctDims(next->data, old->distinct_dims(), first_inserted));
+    }
     version_ = next;
     new_epoch = next->epoch;
 
@@ -358,15 +357,13 @@ std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
     // others draw their removal candidates from its repaired answer.
     // Published id lists are immutable, so a repair installs a
     // replacement entry re-stamped with the new epoch.
-    std::size_t unpinned_ids = 0;
     const auto repair = [&](EntryPtr& entry, Subspace v,
                             const std::vector<PointId>* pinned) {
       // epoch-ok: the entry is at the old epoch, the one Repair starts
       // from.
       std::vector<PointId> ids = Repair(*next, v, first_inserted, pinned,
                                         entry->published_ids(), &tests);
-      if (!entry->pinned) unpinned_ids += ids.size();
-      auto fresh = std::make_shared<Entry>(entry->pinned, next->epoch);
+      auto fresh = std::make_shared<Entry>(next->epoch);
       fresh->last_used.store(entry->last_used.load(std::memory_order_relaxed),
                              std::memory_order_relaxed);
       fresh->Publish(std::move(ids));
@@ -391,10 +388,9 @@ std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
         it = cache_.erase(it);
         continue;
       }
-      if (!it->second->pinned) repair(it->second, Subspace(it->first), pinned);
+      if (!IsPinned(it->first)) repair(it->second, Subspace(it->first), pinned);
       ++it;
     }
-    cached_ids_ = unpinned_ids;
     if constexpr (kSkylineDeepChecks) {
       for (const auto& [bits, entry] : cache_) {
         SKYLINE_DCHECK(entry->epoch == next->epoch,
@@ -413,21 +409,13 @@ std::uint64_t QueryService::ApplyUpdate(std::span<const Value> inserts,
   return new_epoch;
 }
 
-bool QueryService::CanApplyUpdate(std::span<const Value> inserts,
-                                  std::span<const PointId> removes) const {
-  ReaderLock lock(cache_mu_);
-  return UpdateError(*version_, inserts, removes) == nullptr;
-}
-
 bool QueryService::OverBudget() const {
-  const std::size_t unpinned = cache_.size() - pinned_entries_;
-  if (unpinned > options_.max_entries) return true;
-  return options_.max_total_ids != 0 && cached_ids_ > options_.max_total_ids;
+  const std::size_t pinned = options_.pin_full_space ? 1 : 0;
+  return cache_.size() - pinned > options_.max_entries;
 }
 
 void QueryService::PublishAndEvict(const EntryPtr& entry, std::uint64_t key,
                                    std::vector<PointId> ids) {
-  const std::size_t num_ids = ids.size();
   entry->Publish(std::move(ids));
 
   WriterLock lock(cache_mu_);
@@ -439,17 +427,15 @@ void QueryService::PublishAndEvict(const EntryPtr& entry, std::uint64_t key,
     // epoch — must not absorb it.
     return;
   }
-  cached_ids_ += num_ids;
   entry->last_used.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
                          std::memory_order_relaxed);
 
   while (OverBudget()) {
-    // LRU victim among ready unpinned entries, the freshly published
-    // one excluded unless it is the only candidate left.
+    // LRU victim among ready unpinned entries other than the fresh one.
     auto victim = cache_.end();
     for (auto it = cache_.begin(); it != cache_.end(); ++it) {
       const EntryPtr& e = it->second;
-      if (e->pinned || e == entry) continue;
+      if (IsPinned(it->first) || e == entry) continue;
       if (!e->ready.load(std::memory_order_acquire)) continue;
       if (victim == cache_.end() ||
           e->last_used.load(std::memory_order_relaxed) <
@@ -457,21 +443,11 @@ void QueryService::PublishAndEvict(const EntryPtr& entry, std::uint64_t key,
         victim = it;
       }
     }
-    if (victim == cache_.end()) {
-      // Only in-flight entries (or the fresh one) remain; if the fresh
-      // entry alone busts the id budget, keeping it is the policy.
-      if (cache_.count(key) != 0 &&
-          cache_.size() - pinned_entries_ > options_.max_entries) {
-        cached_ids_ -= num_ids;
-        cache_.erase(key);
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-      }
-      break;
-    }
-    // epoch-ok: eviction accounting — the ids are dropped, not served.
-    cached_ids_ -= victim->second->published_ids().size();
-    cache_.erase(victim);
+    // Only in-flight entries remain besides the fresh one: drop it.
+    const bool drop_fresh = victim == cache_.end();
+    cache_.erase(drop_fresh ? self : victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
+    if (drop_fresh) break;
   }
 }
 
@@ -527,7 +503,7 @@ std::vector<PointId> QueryService::Query(Subspace v,
       return serve(existing, was_ready);
     }
     snap = version_;
-    entry = std::make_shared<Entry>(/*pinned_entry=*/false, snap->epoch);
+    entry = std::make_shared<Entry>(snap->epoch);
     cache_.emplace(v.bits(), entry);
     ancestor = FindBestAncestor(v, &ancestor_subspace);
   }

@@ -60,17 +60,18 @@
 // and publications (but not against in-flight computes, which are
 // detached instead).
 //
-// Eviction: bounded by entry count and (optionally) total cached ids;
-// least-recently-used ready entries are dropped first. The full-space
-// cuboid can be pinned (default) so every miss has a universal seed;
-// the pinned entry is repaired first on every update, and the other
-// entries' removal repairs draw their candidates from it.
+// Eviction: bounded by entry count alone; least-recently-used ready
+// entries are dropped first. The full-space cuboid can be pinned
+// (default) so every miss has a universal seed; the pinned entry is
+// repaired first on every update, and the other entries' removal
+// repairs draw their candidates from it.
 #ifndef SKYLINE_QUERY_QUERY_SERVICE_H_
 #define SKYLINE_QUERY_QUERY_SERVICE_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -85,15 +86,9 @@ namespace skyline {
 
 /// Tuning knobs of the QueryService cache.
 struct QueryServiceOptions {
-  /// Maximum number of cached cuboids, pinned entries excluded. At
-  /// least 1; the entry being inserted always fits.
+  /// Maximum number of cached cuboids, the pinned full space excluded.
+  /// At least 1.
   std::size_t max_entries = 64;
-
-  /// Total cached id budget across all unpinned cuboids; 0 = unbounded.
-  /// When exceeded, LRU entries are evicted until the budget holds (the
-  /// most recent entry survives even if it alone exceeds the budget —
-  /// dropping fresh results would make hot big cuboids uncacheable).
-  std::size_t max_total_ids = 0;
 
   /// Compute and pin the full-space cuboid at construction, so every
   /// miss has a cached ancestor and the cold path is construction-only.
@@ -138,10 +133,13 @@ struct DatasetVersion {
   /// value; empty if any row holds a NaN. A seeded miss whose subspace
   /// meets it skips the tie scan. Unless set, the first call computes
   /// it (DistinctDims over every row), so a service that never seeds a
-  /// miss never pays for the pass. ApplyUpdate sets each later
-  /// version's from the old mask and the inserted rows; a removal keeps
-  /// it. Thread-safe.
+  /// miss never pays for the pass. When the old version's mask is
+  /// known, ApplyUpdate sets the next version's from it and the
+  /// inserted rows (a removal keeps it); otherwise it leaves the mask
+  /// unset. Thread-safe.
   Subspace distinct_dims() const;
+  /// Whether the mask is set or already computed.
+  bool distinct_dims_known() const { return distinct_known_.load(); }
   /// Sets the mask; only before the version is shared.
   void set_distinct_dims(Subspace dims);
 
@@ -236,27 +234,21 @@ class QueryService {
       SKYLINE_EXCLUDES(cache_mu_);
 
   /// Applies a batch of mutations: `inserts` is a row-major block of
-  /// k * num_dims() values appended as k new points (their ids are
-  /// returned epochs' num_points(), ascending); `removes` tombstones
+  /// k * num_dims() values appended as k new points (their ids are the
+  /// old version's num_points() on, ascending); `removes` tombstones
   /// existing live points (each id must be live, predate this batch and
-  /// appear once). A batch that breaks these rules, or holds a partial
-  /// row, is a contract violation in every build type (CanApplyUpdate
-  /// runs the same checks without aborting). Bumps the epoch, detaches
-  /// in-flight computes and repairs every ready cached cuboid to the new
-  /// epoch, the pinned full-space seed first (see the header comment).
-  /// Returns the new epoch (the unchanged one for an empty batch, which
-  /// is a no-op). Serializes against claims/publications via the cache
-  /// lock; safe to call concurrently with Query.
-  std::uint64_t ApplyUpdate(std::span<const Value> inserts,
-                            std::span<const PointId> removes)
-      SKYLINE_EXCLUDES(cache_mu_);
-
-  /// Whether ApplyUpdate would accept the batch against the current
-  /// version, by ApplyUpdate's own checks. Only a caller that is the
-  /// service's single writer can rely on the answer still holding when
-  /// it then calls ApplyUpdate.
-  bool CanApplyUpdate(std::span<const Value> inserts,
-                      std::span<const PointId> removes) const
+  /// appear once). Bumps the epoch, detaches in-flight computes and
+  /// repairs every ready cached cuboid to the new epoch, the pinned
+  /// full-space seed first (see the header comment). Returns the new
+  /// epoch, or the current one for an empty batch, which is a no-op.
+  /// A malformed batch (a partial row, or a remove id that breaks the
+  /// rules above) is refused: no value is returned and nothing changes,
+  /// counters included. It is checked under the lock the batch would be
+  /// applied under, because whether an id is live depends on the
+  /// version it applies to. Serializes against claims/publications via
+  /// the cache lock; safe to call concurrently with Query.
+  std::optional<std::uint64_t> ApplyUpdate(std::span<const Value> inserts,
+                                           std::span<const PointId> removes)
       SKYLINE_EXCLUDES(cache_mu_);
 
   /// Copies the current counters; safe to call concurrently.
@@ -316,8 +308,7 @@ class QueryService {
   /// immutable from publication on. Repairs publish a replacement Entry
   /// instead of mutating this one; `epoch` is fixed at claim time.
   struct Entry {
-    Entry(bool pinned_entry, std::uint64_t entry_epoch)
-        : pinned(pinned_entry), epoch(entry_epoch) {}
+    explicit Entry(std::uint64_t entry_epoch) : epoch(entry_epoch) {}
 
     /// Stores the result, marks the entry ready, and wakes coalesced
     /// waiters. Called exactly once per entry, by the computing thread.
@@ -333,7 +324,6 @@ class QueryService {
     CondVar cv;
     std::atomic<bool> ready{false};
     std::atomic<std::uint64_t> last_used{0};
-    const bool pinned;
     /// Epoch of the dataset version the ids are (being) computed for.
     const std::uint64_t epoch;
 
@@ -392,14 +382,20 @@ class QueryService {
                               std::vector<PointId> ids,
                               std::uint64_t* tests) const;
 
-  /// Publishes `ids` into `entry`, accounts the size, and evicts LRU
-  /// entries until the configured bounds hold again. If an update
-  /// detached `entry` from the cache while it was computing, the
-  /// publication only feeds its waiters and the cache is untouched.
+  /// Publishes `ids` into `entry` and evicts LRU entries until the
+  /// entry bound holds again. If an update detached `entry` from the
+  /// cache while it was computing, the publication only feeds its
+  /// waiters and the cache is untouched.
   void PublishAndEvict(const EntryPtr& entry, std::uint64_t key,
                        std::vector<PointId> ids) SKYLINE_EXCLUDES(cache_mu_);
 
-  /// True while the cache exceeds its entry or id budget.
+  /// Whether the cuboid with subspace bits `key` is the pinned full
+  /// space: never evicted, repaired first on every update.
+  bool IsPinned(std::uint64_t key) const {
+    return options_.pin_full_space && key == Subspace::Full(num_dims_).bits();
+  }
+
+  /// True while the unpinned entries exceed `max_entries`.
   bool OverBudget() const SKYLINE_REQUIRES_SHARED(cache_mu_);
 
   /// Only data() reads it: every other path reads the service's own
@@ -414,10 +410,6 @@ class QueryService {
       SKYLINE_GUARDED_BY(cache_mu_);
   /// The current dataset snapshot; replaced wholesale by ApplyUpdate.
   DatasetVersionPtr version_ SKYLINE_GUARDED_BY(cache_mu_);
-  /// Ids over ready unpinned entries.
-  std::size_t cached_ids_ SKYLINE_GUARDED_BY(cache_mu_) = 0;
-  /// Ready pinned entries.
-  std::size_t pinned_entries_ SKYLINE_GUARDED_BY(cache_mu_) = 0;
 
   std::atomic<std::uint64_t> clock_{0};  ///< LRU stamp source.
 

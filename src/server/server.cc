@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <optional>
 #include <utility>
 
 #include "src/core/contracts.h"
@@ -234,7 +235,9 @@ ResponseHandle SkylineServer::SubmitUpdate(std::vector<Value> inserts,
   updates_submitted_.fetch_add(1, std::memory_order_relaxed);
   auto state = std::make_shared<internal::ServerResultState>();
   ResponseHandle handle(state);
-  if (inserts.size() % service_.num_dims() != 0) {  // a partial row
+  // A partial row is refused here, not at dispatch: a queued update is
+  // a fence, so it would hold every query behind it until then.
+  if (inserts.size() % service_.num_dims() != 0) {
     Resolve(*state, StatusCode::kInvalidArgument, {});
     return handle;
   }
@@ -333,13 +336,10 @@ void SkylineServer::WorkerLoop() {
     } else if (have_update) {
       const auto dispatch_time = std::chrono::steady_clock::now();
       queue_wait_.Record(ElapsedNanos(update.enqueued_at, dispatch_time));
-      // The barrier holds and the server is its service's only writer, so
-      // the check reads the version the update would apply to.
-      if (service_.CanApplyUpdate(update.inserts, update.removes)) {
-        const std::uint64_t epoch =
-            service_.ApplyUpdate(update.inserts, update.removes);
+      if (const std::optional<std::uint64_t> epoch =
+              service_.ApplyUpdate(update.inserts, update.removes)) {
         updates_applied_.fetch_add(1, std::memory_order_relaxed);
-        Resolve(*update.state, StatusCode::kOk, {}, epoch);
+        Resolve(*update.state, StatusCode::kOk, {}, *epoch);
       } else {
         Resolve(*update.state, StatusCode::kInvalidArgument, {});
       }

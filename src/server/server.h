@@ -42,7 +42,10 @@
 //     immune to queue_capacity. The batcher serializes it against query
 //     batches: no query batch gathered before the update dispatches
 //     after it, workers drain in-flight batches before applying it, and
-//     no batch starts while it applies. Every response carries the
+//     no batch starts while it applies. It is applied by one
+//     QueryService::ApplyUpdate call, which checks the batch under the
+//     lock it applies it under; a refused batch resolves
+//     kInvalidArgument and changes nothing. Every response carries the
 //     epoch its answer reflects. The service repairs every cached cuboid
 //     to the new epoch inside the update, so no answer, kStale ones
 //     included, ever comes from an older epoch's cache entry.
@@ -87,7 +90,7 @@ enum class StatusCode {
   kCancelled,         ///< The request's CancellationToken fired.
   kShutdown,          ///< Server destroyed before the request dispatched.
   /// Malformed request: an empty subspace or one outside the dataset's
-  /// space, or an update that ApplyUpdate would refuse. Not retryable.
+  /// space, or an update that ApplyUpdate refuses. Not retryable.
   /// Keep it last: it sizes the server's per-status counters.
   kInvalidArgument,
 };
@@ -325,9 +328,9 @@ class SkylineServer {
   /// against query batches in queue order; the handle resolves kOk with
   /// `epoch` set to the epoch the update installed (ids empty). A
   /// malformed update resolves kInvalidArgument and leaves the epoch
-  /// unchanged: a partial row at admission, a remove id ApplyUpdate
-  /// would refuse when the update dispatches. Only shutdown otherwise
-  /// resolves an update without applying it.
+  /// unchanged: a partial row at admission, a batch ApplyUpdate refuses
+  /// (a bad remove id) when the update dispatches. Only shutdown
+  /// otherwise resolves an update without applying it.
   ResponseHandle SubmitUpdate(std::vector<Value> inserts,
                               std::vector<PointId> removes)
       SKYLINE_EXCLUDES(mu_);

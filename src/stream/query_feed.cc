@@ -1,6 +1,7 @@
 #include "src/stream/query_feed.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/core/contracts.h"
@@ -55,12 +56,16 @@ std::uint64_t QueryFeed::Flush() {
   }
   flushed_inserts_ += pending_inserts_.size() / num_dims_;
   flushed_removes_ += pending_removes_.size();
-  const std::uint64_t epoch =
+  const std::optional<std::uint64_t> epoch =
       service_.ApplyUpdate(pending_inserts_, pending_removes_);
+  if (!epoch) {  // a Push or Remove broke its contract
+    SKYLINE_CONTRACT_VIOLATION(
+        "QueryFeed::Flush: the service refused the batch");
+  }
   flushed_through_ = next_id_;
   pending_inserts_.clear();
   pending_removes_.clear();
-  return epoch;
+  return *epoch;
 }
 
 }  // namespace skyline

@@ -66,14 +66,17 @@ class QueryFeed {
   /// batch_size.
   PointId Push(std::span<const Value> point);
 
-  /// Buffers the removal of `id`, which must name a point the service
-  /// already knows or one still buffered (the feed flushes first in
-  /// that case — ApplyUpdate cannot remove an id from its own batch).
-  /// Auto-flushes when the buffer reaches batch_size.
+  /// Buffers the removal of `id`, which must name a point not removed
+  /// yet: one the service already knows or one still buffered (the
+  /// feed flushes first in that case — ApplyUpdate cannot remove an id
+  /// from its own batch). Auto-flushes when the buffer reaches
+  /// batch_size.
   void Remove(PointId id);
 
   /// Applies every buffered event as one ApplyUpdate and returns the
-  /// resulting epoch (the current one if nothing was buffered).
+  /// resulting epoch (the current one if nothing was buffered). A batch
+  /// the service refuses (a broken Push or Remove contract) is a
+  /// contract violation in every build type.
   std::uint64_t Flush();
 
   /// Buffered, not-yet-applied events.

@@ -64,25 +64,6 @@ TEST(ContractsDeathTest, MergeRejectsNonPositiveSigma) {
   EXPECT_DEATH(MergeSubspaces(data, 0), "sigma");
 }
 
-TEST(ContractsDeathTest, ApplyUpdateRejectsMalformedBatches) {
-  // The batch is caller input: checked in every build type, so this
-  // test never skips.
-  const Dataset data = Dataset::FromRows({{1.0, 2.0}, {2.0, 1.0}, {3.0, 3.0}});
-  QueryService service(data);
-  service.ApplyUpdate({}, std::vector<PointId>{2});
-  const std::vector<Value> row = {0.5, 0.5};  // Would become id 3.
-  EXPECT_DEATH(service.ApplyUpdate({}, std::vector<PointId>{7}),
-               "out of range");
-  EXPECT_DEATH(service.ApplyUpdate(row, std::vector<PointId>{3}),
-               "from this batch");
-  EXPECT_DEATH(service.ApplyUpdate({}, std::vector<PointId>{2}),
-               "already-removed");
-  EXPECT_DEATH(service.ApplyUpdate({}, std::vector<PointId>{0, 1, 0}),
-               "repeated");
-  EXPECT_DEATH(service.ApplyUpdate(std::vector<Value>{0.5, 0.5, 0.5}, {}),
-               "num_dims values");
-}
-
 TEST(ContractsDeathTest, QueryServiceRejectsMalformedSubspaces) {
   // Subspaces are caller input: checked in every build type, so this
   // test never skips.

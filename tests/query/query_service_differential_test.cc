@@ -1,8 +1,9 @@
 // Differential load test: N threads fire random subspace-query streams
 // at one QueryService and every response is compared against a fresh
-// SubspaceSkyline oracle. Runs in three cache regimes — roomy, tiny
-// (eviction on almost every miss), and id-budgeted — and once with all
-// threads replaying the SAME stream (single-flight coalescing storm).
+// SubspaceSkyline oracle. Runs in several cache regimes — roomy, tiny
+// (eviction on almost every miss), unpinned, boosted seeds, duplicate
+// rows — and once with all threads replaying the SAME stream
+// (single-flight coalescing storm).
 // The suite is in the `query` ctest label, which the sanitizer presets
 // run in full: TSan over these threads is the data-race gate of the
 // serving layer.
@@ -100,13 +101,6 @@ TEST(QueryServiceDifferentialTest, TinyCacheUnpinnedColdPath) {
   LoadConfig config{"tiny-unpinned", {}, 4, 100, false};
   config.options.max_entries = 1;
   config.options.pin_full_space = false;
-  RunLoad(data, config);
-}
-
-TEST(QueryServiceDifferentialTest, IdBudgetEvictionHeavy) {
-  const Dataset data = Generate(DataType::kAntiCorrelated, 300, 4, 44);
-  LoadConfig config{"id-budget", {}, 4, 100, false};
-  config.options.max_total_ids = 40;
   RunLoad(data, config);
 }
 

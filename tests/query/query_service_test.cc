@@ -208,23 +208,6 @@ TEST(QueryServiceTest, EvictionRespectsEntryBound) {
   EXPECT_GT(stats.evictions, 0u);
 }
 
-TEST(QueryServiceTest, EvictionRespectsIdBudget) {
-  const Dataset data = Generate(DataType::kAntiCorrelated, 300, 4, 28);
-  QueryServiceOptions options;
-  options.max_total_ids = 50;
-  QueryService service(data, options);
-  const std::size_t pinned_ids = service.Stats().cache_ids;
-  for (std::uint64_t bits = 1; bits < 15; ++bits) {
-    const std::size_t latest = service.Query(Subspace(bits)).size();
-    // Budget holds after every query, up to the latest entry's own size
-    // (the fresh entry is never dropped for the id budget alone).
-    const QueryStatsSnapshot stats = service.Stats();
-    const std::size_t unpinned_ids = stats.cache_ids - pinned_ids;
-    EXPECT_LE(unpinned_ids, 50u + latest);
-  }
-  EXPECT_GT(service.Stats().evictions, 0u);
-}
-
 TEST(QueryServiceTest, PinnedEntrySurvivesEvictionPressure) {
   const Dataset data = Generate(DataType::kUniformIndependent, 200, 4, 29);
   QueryServiceOptions options;

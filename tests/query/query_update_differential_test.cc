@@ -112,7 +112,7 @@ TEST(QueryUpdateDifferentialTest, ConcurrentQueriesAndUpdatesMatchOracle) {
         }
         removes.push_back(victim);
       }
-      const std::uint64_t epoch = service.ApplyUpdate(rows, removes);
+      const std::uint64_t epoch = service.ApplyUpdate(rows, removes).value();
       next_row += k;
       tombstones.insert(
           std::upper_bound(tombstones.begin(), tombstones.end(),
@@ -227,7 +227,7 @@ TEST(QueryUpdateDifferentialTest, ServeStaleBurstKeepsPeekAnswersSound) {
       rng = Mix(rng);
       row.push_back(static_cast<Value>(rng % 1000) / 1000.0);
     }
-    const std::uint64_t epoch = service.ApplyUpdate(row, {});
+    const std::uint64_t epoch = service.ApplyUpdate(row, {}).value();
     ++next_row;
     std::lock_guard<std::mutex> lock(spec_mu);
     specs[epoch] = EpochSpec{next_row, {}};

@@ -4,13 +4,14 @@
 // tie rule, duplicates, a batch that inserts and removes), the reads
 // after an update (PeekExact, PeekNearestAncestor, PeekStale), and the
 // epoch edge cases (an update overtaking an in-flight compute, empty
-// batches).
+// and refused batches).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -52,6 +53,15 @@ void ExpectAllCuboidsMatchOracle(QueryService& service) {
   }
 }
 
+// The id of the row with the smallest value in dimension `dim`.
+PointId ArgMin(const Dataset& data, Dim dim) {
+  PointId best = 0;
+  for (PointId p = 1; p < data.num_points(); ++p) {
+    if (data.row(p)[dim] < data.row(best)[dim]) best = p;
+  }
+  return best;
+}
+
 TEST(QueryUpdateTest, EmptyUpdateIsANoOp) {
   const Dataset data = Generate(DataType::kUniformIndependent, 100, 3, 40);
   QueryService service(data);
@@ -60,6 +70,53 @@ TEST(QueryUpdateTest, EmptyUpdateIsANoOp) {
   const QueryStatsSnapshot stats = service.Stats();
   EXPECT_EQ(stats.updates, 0u);
   EXPECT_EQ(stats.update_latency.total, 0u);
+}
+
+TEST(QueryUpdateTest, MalformedBatchIsRefusedAndChangesNothing) {
+  // Whether a remove id is live depends on the version the batch meets,
+  // so a bad batch is refused, not aborted on: no epoch is returned and
+  // the version, the counters and the cache stay as they were.
+  const Dataset data = Dataset::FromRows({{1.0, 2.0}, {2.0, 1.0}, {3.0, 3.0}});
+  QueryService service(data);
+  ASSERT_EQ(service.ApplyUpdate({}, std::vector<PointId>{2}), 1u);
+  const std::vector<PointId> cached = service.Query(Subspace{1});
+  ASSERT_EQ(cached, std::vector<PointId>{1});
+  const DatasetVersionPtr version = service.current_version();
+  const QueryStatsSnapshot before = service.Stats();
+
+  struct Batch {
+    const char* fault;
+    std::vector<Value> inserts;
+    std::vector<PointId> removes;
+  };
+  const Batch batches[] = {
+      {"remove id out of range", {}, {7}},
+      {"remove of an id the batch inserts", {0.5, 0.5}, {3}},
+      {"remove of an already-removed id", {}, {2}},
+      {"repeated remove id", {}, {0, 1, 0}},
+      {"partial row", {0.5, 0.5, 0.5}, {}},
+  };
+  for (const Batch& batch : batches) {
+    const std::optional<std::uint64_t> epoch =
+        service.ApplyUpdate(batch.inserts, batch.removes);
+    EXPECT_FALSE(epoch.has_value()) << batch.fault;
+    const QueryStatsSnapshot after = service.Stats();
+    EXPECT_EQ(service.current_version(), version) << batch.fault;
+    EXPECT_EQ(after.epoch, 1u) << batch.fault;
+    EXPECT_EQ(after.updates, before.updates) << batch.fault;
+    EXPECT_EQ(after.insert_points, before.insert_points) << batch.fault;
+    EXPECT_EQ(after.remove_points, before.remove_points) << batch.fault;
+    EXPECT_EQ(after.repaired, before.repaired) << batch.fault;
+    EXPECT_EQ(after.update_latency.total, before.update_latency.total)
+        << batch.fault;
+    std::vector<PointId> ids;
+    std::uint64_t entry_epoch = 0;
+    EXPECT_TRUE(service.PeekExact(Subspace{1}, &ids, &entry_epoch))
+        << batch.fault;
+    EXPECT_EQ(ids, cached) << batch.fault;
+    EXPECT_EQ(entry_epoch, 1u) << batch.fault;
+  }
+  EXPECT_EQ(service.Stats().cache_entries, before.cache_entries);
 }
 
 TEST(QueryUpdateTest, InsertBumpsEpochAndAssignsAppendedIds) {
@@ -259,10 +316,7 @@ TEST(QueryUpdateTest, InsertThatRepeatsAValueReenablesTheTieScan) {
   QueryService service(data);
   const Subspace full = Subspace::Full(3);
   ASSERT_EQ(service.current_version()->distinct_dims(), full);
-  PointId argmin = 0;
-  for (PointId p = 1; p < data.num_points(); ++p) {
-    if (data.row(p)[0] < data.row(argmin)[0]) argmin = p;
-  }
+  const PointId argmin = ArgMin(data, 0);
   const std::vector<Value> insert = {data.row(argmin)[0], 1.0, 1.0};
   service.ApplyUpdate(insert, {});
   EXPECT_EQ(service.current_version()->distinct_dims(), (Subspace{1, 2}));
@@ -282,6 +336,31 @@ TEST(QueryUpdateTest, InsertThatRepeatsAValueReenablesTheTieScan) {
   service.ApplyUpdate({}, remove);
   EXPECT_EQ(service.current_version()->distinct_dims(), (Subspace{1, 2}));
   ExpectAllCuboidsMatchOracle(service);
+}
+
+TEST(QueryUpdateTest, UpdateBeforeAnySeededMissLeavesTheDistinctMaskUnset) {
+  // No seeded miss has computed version 0's distinct mask, so the update
+  // must not run that pass over every row inside its lock: both masks
+  // stay unset, and the new version's first seeded miss computes its
+  // own. The inserted row ties the dimension-0 minimum, a full-space
+  // skyline row, and is worse elsewhere: only the tie scan answers {0}.
+  const Dataset data = Generate(DataType::kUniformIndependent, 300, 3, 53);
+  QueryService service(data);
+  const DatasetVersionPtr first = service.current_version();
+  const PointId argmin = ArgMin(data, 0);
+  const std::vector<Value> insert = {data.row(argmin)[0], 1.0, 1.0};
+  ASSERT_EQ(service.ApplyUpdate(insert, {}), 1u);
+  const DatasetVersionPtr next = service.current_version();
+  EXPECT_FALSE(first->distinct_dims_known());
+  EXPECT_FALSE(next->distinct_dims_known());
+
+  const PointId inserted = static_cast<PointId>(data.num_points());
+  const std::vector<PointId> answer = service.Query(Subspace{0});
+  EXPECT_EQ(answer, (std::vector<PointId>{argmin, inserted}));
+  EXPECT_EQ(answer, OracleSkyline(*next, Subspace{0}));
+  EXPECT_EQ(service.Stats().seeded, 1u);
+  EXPECT_EQ(service.Stats().tie_scans, 1u);
+  EXPECT_EQ(next->distinct_dims(), (Subspace{1, 2}));
 }
 
 TEST(QueryUpdateTest, PeekExactEpochOptInContract) {
@@ -384,7 +463,7 @@ void ExpectUpdateRepairsEveryCuboid(QueryService& service,
                                     std::span<const Value> inserts,
                                     std::span<const PointId> removes) {
   const QueryStatsSnapshot before = service.Stats();
-  const std::uint64_t epoch = service.ApplyUpdate(inserts, removes);
+  const std::uint64_t epoch = service.ApplyUpdate(inserts, removes).value();
   const QueryStatsSnapshot after = service.Stats();
   EXPECT_EQ(after.repaired - before.repaired, before.cache_entries);
   EXPECT_EQ(after.cache_entries, before.cache_entries);
@@ -395,15 +474,6 @@ void ExpectUpdateRepairsEveryCuboid(QueryService& service,
   EXPECT_EQ(queried.hits - after.hits, before.cache_entries);
   EXPECT_EQ(queried.misses(), after.misses());
   EXPECT_EQ(queried.epoch, epoch);
-}
-
-// The id of the row with the smallest value in dimension `dim`.
-PointId ArgMin(const Dataset& data, Dim dim) {
-  PointId best = 0;
-  for (PointId p = 1; p < data.num_points(); ++p) {
-    if (data.row(p)[dim] < data.row(best)[dim]) best = p;
-  }
-  return best;
 }
 
 TEST(QueryUpdateTest, MemberRemovalRepairsEveryCachedCuboidFromThePin) {
@@ -561,7 +631,7 @@ TEST(QueryUpdateTest, UpdateOvertakingInFlightComputeDetachesEntry) {
     std::vector<PointId> answer;
     std::thread querier([&] { answer = service.Query(v, &query_epoch); });
     const std::vector<Value> row = {0.5, 0.5, 0.5, 0.5};
-    const std::uint64_t new_epoch = service.ApplyUpdate(row, {});
+    const std::uint64_t new_epoch = service.ApplyUpdate(row, {}).value();
     querier.join();
 
     // The answer must be exact for the epoch it reports.

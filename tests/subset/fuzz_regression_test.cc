@@ -190,8 +190,9 @@ TEST(FuzzRegressionTest, QueryServiceCorpusRepeatHeavy) {
 }
 
 // fuzz/corpus/query_service/seed-evict.bin: d=3, capacity 1, unpinned,
-// id budget on, all 7 masks round-robin twice — eviction churn on every
-// miss plus the cold-compute path.
+// one malformed update first (it reads the first mask byte as its id
+// offset), then the masks round-robin — a refused update, then
+// eviction churn on every miss plus the cold-compute path.
 TEST(FuzzRegressionTest, QueryServiceCorpusEvictionChurn) {
   std::mt19937_64 rng(8);
   std::vector<std::uint8_t> input = {1, 0, 2, 19};
